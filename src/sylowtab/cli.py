@@ -23,7 +23,7 @@ from .corpus import build_group, corpus_entries
 from .detectors import detect_center_index_p2, detect_commutator_index_p2
 from .dixon import dixon_table
 from .numutil import is_prime, prime_divisors
-from .perm import CapExceeded, PermGroup
+from .perm import DEFAULT_CAP, CapExceeded, PermGroup
 from .serialize import (ParseError, ReportRow, emit_report, parse_group,
                         parse_table, parse_text_table, report_has_mismatch)
 
@@ -35,6 +35,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
+
+
+def positive_int(text: str) -> int:
+    """argparse type of --max-elements: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -57,14 +65,14 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("oracle", help="ground truth + detectors for a group")
     sp.add_argument("group", help="group document (JSON)")
     prime_opts(sp)
-    sp.add_argument("--max-elements", type=int, default=None, metavar="N",
+    sp.add_argument("--max-elements", type=positive_int, default=DEFAULT_CAP, metavar="N",
                     help="element enumeration cap")
 
     sp = sub.add_parser("corpus", help="sweep the embedded corpus")
     sp.add_argument("--filter", default=None, metavar="NAME",
                     help="only entries whose name contains NAME")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--max-elements", type=int, default=None, metavar="N")
+    sp.add_argument("--max-elements", type=positive_int, default=DEFAULT_CAP, metavar="N")
     return parser
 
 
@@ -148,9 +156,8 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"sylowtab: {exc}", file=sys.stderr)
                 return EXIT_PARSE
-            kwargs = {"cap": args.max_elements} if args.max_elements else {}
             g = PermGroup(doc.degree, [list(x) for x in doc.generators],
-                          name=doc.name, **kwargs)
+                          cap=args.max_elements, name=doc.name)
             if doc.expected_order is not None and g.order != doc.expected_order:
                 print(f"sylowtab: enumerated order {g.order} != expected "
                       f"{doc.expected_order}", file=sys.stderr)

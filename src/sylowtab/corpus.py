@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .gfpm import GF
 from .numutil import prime_divisors
-from .perm import PermGroup, perm_from_cycles
+from .perm import DEFAULT_CAP, PermGroup, perm_from_cycles
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ class CorpusEntry:
         return prime_divisors(self.expected_order)
 
 
-def build_group(entry: CorpusEntry, cap: int | None = None) -> PermGroup:
+def build_group(entry: CorpusEntry, cap: int = DEFAULT_CAP) -> PermGroup:
     g = PermGroup(entry.degree, [list(gen) for gen in entry.generators],
-                  name=entry.name, **({"cap": cap} if cap else {}))
+                  cap=cap, name=entry.name)
     if g.order != entry.expected_order:
         raise ValueError(f"{entry.name}: enumerated order {g.order}, "
                          f"expected {entry.expected_order}")

@@ -1,8 +1,11 @@
 """Exact character tables by the Burnside-Dixon-Schneider method.
 
-The class-multiplication matrices are computed by counting over the full
-element list, their simultaneous eigenvectors are found over GF(l) for a
-prime l = 1 (mod exp(G)) large enough to make integer lifting unique
+The class-multiplication matrices are counted with one right
+multiplication per class, composed from the generators' index
+permutations along the representative's word, so a group of order n
+with g generators needs O(n * g) element lookups in all (see perm.py).
+Their simultaneous eigenvectors are found over GF(l) for a prime
+l = 1 (mod exp(G)) large enough to make integer lifting unique
 (l > 2*sqrt(|G|)), and the character values are lifted to cyclotomic
 integers through a discrete Fourier inversion over power classes.
 
@@ -30,24 +33,21 @@ class DixonFailure(RuntimeError):
 
 def class_matrices(g: PermGroup) -> list[np.ndarray]:
     """Class-algebra structure constants: mats[i][j, m] = a_{ijm} where
-    class_sum(i) * class_sum(j) = sum_m a_{ijm} * class_sum(m)."""
+    class_sum(i) * class_sum(j) = sum_m a_{ijm} * class_sum(m).
+
+    a_{ijm} is the number of x in C_i with x^-1 * z_m in C_j, z_m the
+    representative of class m.  The indices of x^-1 * z_m for all x are
+    the right multiplication by z_m applied to the inverse indices, which
+    ``right_mults`` composes from the generators' along the word of z_m:
+    O(|G|) gathers per distinct word prefix and no element lookups.
+    """
     cd = g.conjugacy_data()
-    E = g.elements()
-    Einv = g.inverses()
     k = len(cd.reps)
-    A = np.zeros((k, k, k), dtype=np.int64)
-    class_of = cd.class_of
-    for m, rep in enumerate(cd.reps):
-        z = E[rep]
-        # x^-1 * z for every x at once (apply x^-1, then z)
-        w = z[Einv]
-        j_arr = class_of[g.index_batch(w)]
-        np.add.at(A[:, :, m], (class_of, j_arr), 1)
-    # a_{ijm} counts pairs (x, y) in C_i x C_j with x*y = z_m; the count is
-    # constant over the class of z_m, and we accumulated once per x in G,
-    # so divide by the class size of m? -- no: for fixed z_m each x in C_i
-    # contributes at most once, and we looped x over all of G with i = class
-    # of x, so A already holds a_{ijm} exactly.
+    row = cd.class_of * k
+    A = np.empty((k, k, k), dtype=np.int64)
+    for rep, y in g.right_mults(g.index_batch(g.inverses()), cd.reps):
+        A[:, :, cd.class_of[rep]] = np.bincount(row + cd.class_of[y],
+                                                minlength=k * k).reshape(k, k)
     return [A[i] for i in range(k)]
 
 

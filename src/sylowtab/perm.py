@@ -1,11 +1,17 @@
 """Brute-force permutation groups: the ground-truth oracle.
 
-Elements are enumerated explicitly (breadth-first over the generators, so
-the ordering is deterministic and the identity is always element 0) and
-stored as one big (order x degree) integer array.  Conjugacy classes,
-Sylow subgroups, derived subgroups and centers are all computed by direct
-scans over that array; nothing here is clever, which is the point --
-everything downstream is validated against these numbers.
+Elements are enumerated breadth-first over the generators, one level at a
+time, so the ordering is deterministic and the identity is always element
+0.  They are stored as one (order x degree) integer array looked up
+through sorted keys, and each records its BFS parent and generator: a word
+in the generators.  Conjugacy classes (orbits of the generators acting by
+conjugation), right multiplications (``right_mults``, which
+``dixon.class_matrices`` counts with) and the conjugates of one element by
+all (``conjugates``, for Sylow normalizers) are composed from one index
+permutation per generator, so a group of order n costs O(n * gens) index
+lookups, not one scan of the group per class.  Derived subgroups, centers
+and Sylow invariants are exhaustive scans; everything downstream is
+validated against these numbers.
 
 Composition convention: permutations act on the right of points, and
 ``mul(a, b)`` means "apply a, then b", i.e. (a*b)[pt] = b[a[pt]].
@@ -82,60 +88,73 @@ class PermGroup:
         self._elements: np.ndarray | None = None
         self._inverses: np.ndarray | None = None
         self._conj: ConjugacyData | None = None
-        # index lookup state (fast path: packed int64 keys; slow path: dict)
-        self._powers = None
+        self._parent: np.ndarray | None = None   # BFS parent index per element
+        self._gen: np.ndarray | None = None      # generator reaching it from the parent
+        self._level_bounds: list[int] | None = None  # BFS level i is [b[i], b[i+1])
+        self._right_gens: np.ndarray | None = None  # row g: x -> x * g
+        self._conj_gens: np.ndarray | None = None   # row g: x -> g^-1 x g
+        # keys pack into one int64 up to degree 15, else they are the row bytes
+        self._powers = degree ** np.arange(degree, dtype=np.int64) if degree <= _FAST_DEGREE else None
         self._sorted_keys = None
         self._sort_order = None
-        self._key_dict = None
 
     # -- enumeration --------------------------------------------------
 
-    def _keys_of(self, rows: np.ndarray):
-        if self.degree <= _FAST_DEGREE:
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        """One sortable key per permutation row."""
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        if self._powers is not None:
             return rows @ self._powers
-        return [r.tobytes() for r in np.ascontiguousarray(rows, dtype=np.int64)]
+        return rows.view(np.dtype((np.void, 8 * self.degree))).reshape(len(rows))
 
     def elements(self) -> np.ndarray:
-        """All group elements, (order x degree); element 0 is the identity."""
+        """All group elements, (order x degree); element 0 is the identity.
+
+        Each BFS level takes every (frontier element, then generator)
+        product, generator-major and in frontier order, and keeps the first
+        occurrence of each element not seen before.
+        """
         if self._elements is not None:
             return self._elements
-        d = self.degree
-        if d <= _FAST_DEGREE:
-            self._powers = d ** np.arange(d, dtype=np.int64)
-        ident = np.arange(d, dtype=np.int64)
-        rows = [ident]
-        seen = {self._row_key(ident)}
-        frontier = np.stack([ident])
-        while frontier.size:
-            new_rows = []
-            for g in self.generators:
-                prods = g[frontier]  # apply frontier element, then g
-                for r in prods:
-                    k = self._row_key(r)
-                    if k not in seen:
-                        seen.add(k)
-                        new_rows.append(r)
-            if len(rows) + len(new_rows) > self.cap:
+        frontier = np.arange(self.degree, dtype=np.int64)[None, :]
+        levels, parents, gens = [frontier], [np.array([-1])], [np.array([-1])]
+        seen = self._keys(frontier)  # sorted keys of the elements so far
+        start = 0                    # index of the first frontier element
+        while True:
+            prods = np.concatenate([g[frontier] for g in self.generators])
+            uniq, first = np.unique(self._keys(prods), return_index=True)
+            pos = np.searchsorted(seen, uniq)
+            new = seen[np.minimum(pos, len(seen) - 1)] != uniq
+            count = len(seen) + int(new.sum())
+            if count > self.cap:
                 raise CapExceeded(f"group exceeds element cap {self.cap}")
-            if not new_rows:
+            if count == len(seen):
                 break
-            rows.extend(new_rows)
-            frontier = np.stack(new_rows)
-        E = np.stack(rows)
+            seen = np.insert(seen, pos[new], uniq[new])
+            first = np.sort(first[new])
+            parents.append(start + first % len(frontier))
+            gens.append(first // len(frontier))
+            start += len(frontier)
+            frontier = prods[first]
+            levels.append(frontier)
+        E = np.concatenate(levels)
         self._elements = E
         self._inverses = np.argsort(E, axis=1)
-        if d <= _FAST_DEGREE:
-            keys = E @ self._powers
-            self._sort_order = np.argsort(keys)
-            self._sorted_keys = keys[self._sort_order]
-        else:
-            self._key_dict = {self._row_key(r): i for i, r in enumerate(E)}
+        self._parent = np.concatenate(parents)
+        self._gen = np.concatenate(gens)
+        self._level_bounds = np.cumsum([0] + [len(level) for level in levels]).tolist()
+        self._sort_order = np.argsort(self._keys(E))
+        self._sorted_keys = seen
         return E
 
-    def _row_key(self, row: np.ndarray):
-        if self.degree <= _FAST_DEGREE:
-            return int(row @ self._powers)
-        return row.astype(np.int64).tobytes()
+    def word(self, i: int) -> list[int]:
+        """Generator positions g_1, ..., g_r with element i = g_1 * ... * g_r."""
+        self.elements()
+        out = []
+        while i:
+            out.append(int(self._gen[i]))
+            i = int(self._parent[i])
+        return out[::-1]
 
     @property
     def order(self) -> int:
@@ -148,15 +167,40 @@ class PermGroup:
     # -- element index arithmetic -------------------------------------
 
     def index_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Element indices of a batch of permutation rows (must be members)."""
+        """Element indices of a batch of permutation rows; KeyError on a non-member."""
         self.elements()
-        if self.degree <= _FAST_DEGREE:
-            keys = rows @ self._powers
-            pos = np.searchsorted(self._sorted_keys, keys)
-            idx = self._sort_order[pos]
-            return idx
-        return np.array([self._key_dict[r.tobytes()]
-                         for r in np.ascontiguousarray(rows, dtype=np.int64)])
+        keys = self._keys(rows)
+        # binary search runs several times faster on ascending queries
+        order = np.argsort(keys)
+        pos = np.empty(len(keys), dtype=np.intp)
+        pos[order] = np.searchsorted(self._sorted_keys, keys[order])
+        np.minimum(pos, len(self._sorted_keys) - 1, out=pos)
+        missing = np.flatnonzero(self._sorted_keys[pos] != keys)
+        if len(missing):
+            raise KeyError(f"not a group element: {np.asarray(rows)[missing[0]].tolist()}")
+        return self._sort_order[pos]
+
+    def right_mults(self, idx: np.ndarray, targets):
+        """Yield (i, indices of (element x, then element i) for every x in idx)
+        for each element index i in targets.
+
+        Right multiplication by i is composed from the generators' index
+        permutations along the word of i.  Targets are taken in the order
+        of their words, so each reuses the gathers of the prefix it shares
+        with the one before: one gather per distinct prefix, no key lookups.
+        """
+        if self._right_gens is None:
+            E = self.elements()
+            self._right_gens = np.stack([self.index_batch(g[E]) for g in self.generators])
+        chain, prev = [np.asarray(idx)], []  # chain[t]: idx times the first t letters
+        for word, i in sorted((self.word(i), i) for i in targets):
+            shared = next((t for t, (a, b) in enumerate(zip(word, prev)) if a != b),
+                          min(len(word), len(prev)))
+            del chain[shared + 1:]
+            for w in word[shared:]:
+                chain.append(self._right_gens[w][chain[-1]])
+            prev = word
+            yield i, chain[-1]
 
     def index_of(self, row: np.ndarray) -> int:
         return int(self.index_batch(np.asarray(row, dtype=np.int64)[None, :])[0])
@@ -217,29 +261,57 @@ class PermGroup:
     # -- conjugacy structure ------------------------------------------
 
     def conjugacy_data(self) -> ConjugacyData:
+        """Classes as orbits of the generators acting by conjugation.
+
+        Classes are numbered by their least element index, which is also
+        their representative.
+        """
         if self._conj is not None:
             return self._conj
         E = self.elements()
-        Einv = self.inverses()
         n = len(E)
-        class_of = np.full(n, -1, dtype=np.int64)
-        reps, sizes, orders = [], [], []
-        for idx in range(n):
-            if class_of[idx] >= 0:
-                continue
-            x = E[idx]
-            # g^-1 x g for every g, all at once
-            conj = np.take_along_axis(E, x[Einv], axis=1)
-            members = np.unique(self.index_batch(conj))
-            class_of[members] = len(reps)
-            reps.append(idx)
-            sizes.append(len(members))
-            orders.append(self.element_order(idx))
+        self._conj_gens = np.stack([self.index_batch(g[E[:, np.argsort(g)]])
+                                    for g in self.generators])
+        steps = []  # x -> g^-1 x g for each generator g, and its inverse
+        for sigma in self._conj_gens:
+            inverse = np.empty_like(sigma)
+            inverse[sigma] = np.arange(n)
+            steps += [sigma, inverse]
+        # every element's label is an orbit-mate with no larger index; take
+        # the least label of the neighbours, then the label's own label,
+        # until nothing changes: each orbit is then labelled by its minimum
+        label = np.arange(n)
+        while True:
+            new = label
+            for step in steps:
+                new = np.minimum(new, label[step])
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        reps, class_of = np.unique(label, return_inverse=True)
+        reps = reps.tolist()
+        orders = [self.element_order(r) for r in reps]
         power_maps = {}
         for p in prime_divisors(n):
             power_maps[p] = [int(class_of[self.pow_index(r, p)]) for r in reps]
-        self._conj = ConjugacyData(reps, np.array(sizes), orders, class_of, power_maps)
+        self._conj = ConjugacyData(reps, np.bincount(class_of), orders, class_of, power_maps)
         return self._conj
+
+    def conjugates(self, q: int) -> np.ndarray:
+        """Index of x^-1 q x for every element x.
+
+        Along the BFS tree: for x = parent * g, x^-1 q x is the conjugate of
+        parent^-1 q parent by the generator g, so each BFS level is one
+        gather from the generators' conjugation permutations.
+        """
+        self.conjugacy_data()
+        out = np.empty(self.order, dtype=np.int64)
+        out[0] = q
+        bounds = self._level_bounds
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            out[lo:hi] = self._conj_gens[self._gen[lo:hi], out[self._parent[lo:hi]]]
+        return out
 
     def exponent(self) -> int:
         out = 1
@@ -318,7 +390,6 @@ class PermGroup:
         cd = self.conjugacy_data()
         elem_orders = np.array(cd.orders)[cd.class_of]
         E = self.elements()
-        Einv = self.inverses()
 
         def p_element_part(i: int) -> int:
             o = int(elem_orders[i])
@@ -326,12 +397,15 @@ class PermGroup:
 
         seed = next(i for i in range(n) if elem_orders[i] % p == 0)
         gen_idx = [p_element_part(seed)]
+        gen_conj: list[np.ndarray] = []
         members = self.closure_indices(gen_idx)
         while len(members) < target:
+            gen_conj += [self.conjugates(q) for q in gen_idx[len(gen_conj):]]
+            is_member = np.zeros(n, dtype=bool)
+            is_member[members] = True
             mask = np.ones(n, dtype=bool)
-            for q in gen_idx:
-                conj = np.take_along_axis(E, E[q][Einv], axis=1)
-                mask &= np.isin(self.index_batch(conj), members)
+            for conj in gen_conj:
+                mask &= is_member[conj]
             member_set = set(members.tolist())
             for j in np.flatnonzero(mask).tolist():
                 if elem_orders[j] % p:

@@ -85,3 +85,19 @@ def test_parse_failures_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["analyze", str(bad), "--p", "2"]) == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_elements_below_one_is_a_usage_error(sl29_group_file, cap, capsys):
+    for argv in (["oracle", sl29_group_file, "--p", "2", "--max-elements", cap],
+                 ["corpus", "--filter", "S4", "--max-elements", cap]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "--max-elements: must be at least 1" in capsys.readouterr().err
+
+
+def test_max_elements_caps_enumeration(capsys):
+    assert main(["corpus", "--filter", "S4", "--max-elements", "23"]) == 2
+    assert "element cap 23" in capsys.readouterr().err
+    assert main(["corpus", "--filter", "S4", "--max-elements", "24"]) == 0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sylowtab.corpus import corpus_entries
+from sylowtab.dixon import class_matrices
 from sylowtab.perm import (CapExceeded, PermGroup, index_p_normal_subgroups,
                            perm_from_cycles, subgroup_invariants)
 
@@ -103,3 +105,98 @@ def test_derived_and_center_of_sylows(corpus):
     P = corpus.group("C3wrC3")
     assert len(P.derived_indices()) == 9
     assert len(P.center_indices()) == 3
+
+
+def test_cap_boundary_is_the_group_order(corpus):
+    e = corpus.entry("S4")
+    assert PermGroup(e.degree, e.generators, cap=24).order == 24
+    with pytest.raises(CapExceeded):
+        PermGroup(e.degree, e.generators, cap=23).elements()
+
+
+@pytest.mark.parametrize("name,row", [
+    ("S4", [0, 0, 1, 2]),                       # not a permutation
+    ("A5", perm_from_cycles(5, [(0, 1)])),      # odd permutation
+    ("SL(2,5)", perm_from_cycles(24, [(0, 1)])),  # degree 24: byte keys
+], ids=["S4", "A5", "SL(2,5)"])
+def test_index_batch_rejects_non_members(corpus, name, row):
+    g = corpus.group(name)
+    E = g.elements()
+    with pytest.raises(KeyError):
+        g.index_of(np.array(row))
+    with pytest.raises(KeyError):
+        g.index_batch(np.vstack([E[:3], [row]]))
+    assert g.index_batch(E[::-1]).tolist() == list(range(g.order))[::-1]
+
+
+# -- the generator-orbit oracle against its definitions ------------------
+
+SMALL = [e.name for e in corpus_entries() if e.expected_order <= 5040]
+
+
+def _brute_class_of(g):
+    """Class labels by conjugating each new representative by every element."""
+    E, Einv = g.elements(), g.inverses()
+    class_of = np.full(len(E), -1)
+    for x in range(len(E)):
+        if class_of[x] < 0:
+            conj = np.take_along_axis(E, E[x][Einv], axis=1)
+            class_of[g.index_batch(conj)] = class_of.max() + 1
+    return class_of
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_classes_match_brute_force(corpus, name):
+    g = corpus.group(name)
+    cd = g.conjugacy_data()
+    assert cd.class_of.tolist() == _brute_class_of(g).tolist()
+    assert cd.reps == [int(np.flatnonzero(cd.class_of == c)[0]) for c in range(len(cd.reps))]
+    assert cd.sizes.tolist() == np.bincount(cd.class_of).tolist()
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_class_matrices_count_pairs(corpus, name):
+    g = corpus.group(name)
+    cd = g.conjugacy_data()
+    E = g.elements()
+    k = len(cd.reps)
+    direct = np.zeros((k, k, k), dtype=np.int64)
+    for m, rep in enumerate(cd.reps):
+        # the pairs (x, y) with x*y = z_m are the (x, x^-1 * z_m)
+        y = g.index_batch(E[rep][g.inverses()])
+        assert (E[rep] == np.take_along_axis(E[y], E, axis=1)).all()
+        np.add.at(direct[:, :, m], (cd.class_of, cd.class_of[y]), 1)
+    assert (np.stack(class_matrices(g)) == direct).all()
+
+
+@pytest.mark.parametrize("name", ["S7", "SL(2,7)", "C3wrC3"])
+def test_index_maps_match_lookups(corpus, name):
+    g = corpus.group(name)
+    E, Einv = g.elements(), g.inverses()
+    sample = np.random.default_rng(0).choice(g.order, 12, replace=False).tolist()
+    seen = []
+    for i, ys in g.right_mults(np.arange(g.order), sample):
+        assert ys.tolist() == g.index_batch(E[i][E]).tolist()
+        seen.append(i)
+    assert sorted(seen) == sorted(sample)
+    for q in sample:
+        conj = np.take_along_axis(E, E[q][Einv], axis=1)  # x^-1 q x, row x
+        assert g.conjugates(q).tolist() == g.index_batch(conj).tolist()
+
+
+def test_class_structure_lookups_scale_with_generators(corpus):
+    e = corpus.entry("S7")
+    g = PermGroup(e.degree, e.generators)
+    assert len(g.generators) == 2
+    g.elements()
+    rows = []
+    lookup = g.index_batch
+
+    def counted(batch):
+        rows.append(len(batch))
+        return lookup(batch)
+
+    g.index_batch = counted
+    class_matrices(g)  # computes conjugacy_data() first
+    assert len(g.conjugacy_data().reps) == 15
+    assert sum(rows) <= 8 * g.order
