@@ -2,20 +2,26 @@
 
 Two irreducible characters lie in the same p-block exactly when their
 central characters omega_chi(C) = |C| chi(x_C) / chi(1) agree after
-reduction into GF(p^m).  All reductions for one table go through a single
-CycReducer at a common conductor, so the resulting partition cannot
-depend on representative choices (and, as tested, does not depend on the
-irreducible polynomial backing the finite field).
+reduction into GF(p^m).  The central characters are integer vectors in
+Z[x]/(x^N - 1), one array per conductor group N of `chartab.int_values`,
+built once per table.  One CycReducer at the lcm E of the group
+conductors fixes the prime ideal over p; its rows for zeta_N map x^e into
+GF(p^m), so each group reduces as one integer matrix product mod p.  The
+resulting partition does not depend on the irreducible polynomial backing
+the finite field (tested).  Partitions are memoized on the table under
+("blocks", p, modulus).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .chartab import CharTable, is_p_element
-from .cyclo import Cyc
+import numpy as np
+
+from .chartab import CharTable, int_dtype, int_values, is_p_element
 from .gfpm import CycReducer
-from .numutil import lcm, valuation
+from .numutil import valuation
 
 
 @dataclass(frozen=True)
@@ -29,36 +35,55 @@ class BlockPartition:
         return self.blocks[self.principal_index]
 
 
-def central_character(t: CharTable, i: int) -> list[Cyc]:
-    """omega_chi over all classes; every value must be a cyclotomic integer."""
-    deg = t.degree(i)
-    out = []
-    for c in range(t.k):
-        w = (t.classes[c].size * t.chars[i][c]) / deg
-        if not w.is_integral():
-            raise ValueError(f"central character {i} is non-integral at class {c}")
-        out.append(w)
-    return out
+def _central_characters(t: CharTable) -> list[np.ndarray]:
+    """omega_chi_i(C_c) as integer vectors, one (k, kN, N) array per
+    conductor group of `chartab.int_values`.
+
+    Every value must be a cyclotomic integer; memoized on the table.
+    """
+    omegas = t._memo.get("central_characters")
+    if omegas is None:
+        iv = int_values(t)
+        omegas = [g.values * iv.sizes[g.columns][None, :, None] for g in iv.groups]
+        for i in range(t.k):
+            q = iv.denominator * t.degree(i)
+            frac = np.zeros(t.k, dtype=bool)
+            for g, w in zip(iv.groups, omegas):
+                frac[g.columns] = (w[i] % q != 0).any(axis=1)
+            if frac.any():
+                raise ValueError(f"central character {i} is non-integral at class "
+                                 f"{np.flatnonzero(frac)[0]}")
+            for w in omegas:
+                w[i] //= q
+        t._memo["central_characters"] = omegas
+    return omegas
 
 
 def block_partition(t: CharTable, p: int, modulus=None) -> BlockPartition:
     """Partition Irr(G) into p-blocks; `modulus` optionally overrides the
     irreducible polynomial used for GF(p^m) (the partition is the same)."""
-    omegas = [central_character(t, i) for i in range(t.k)]
-    conductor = 1
-    for row in omegas:
-        for w in row:
-            conductor = lcm(conductor, w.n)
-    reducer = CycReducer(p, conductor, modulus=modulus)
+    key = ("blocks", p, None if modulus is None else tuple(modulus))
+    if key in t._memo:
+        return t._memo[key]
+    omegas = _central_characters(t)
+    groups = int_values(t).groups
+    reducer = CycReducer(p, lcm(*(g.conductor for g in groups)), modulus=modulus)
+    images = []
+    for g, w in zip(groups, omegas):
+        k, kn, n = w.shape
+        dt = int_dtype(n * p * p)
+        powers = np.array(reducer.powers(n), dtype=dt)
+        images.append(((w % p).astype(dt).reshape(k * kn, n) @ powers % p).reshape(k, -1))
     keyed: dict[tuple, list[int]] = {}
-    for i, row in enumerate(omegas):
-        key = tuple(reducer.reduce(w).coeffs for w in row)
-        keyed.setdefault(key, []).append(i)
+    for i, row in enumerate(np.concatenate(images, axis=1).tolist()):
+        keyed.setdefault(tuple(row), []).append(i)
     blocks = tuple(tuple(b) for b in sorted(keyed.values()))
     principal = next(j for j, b in enumerate(blocks) if 0 in b)
     vg = valuation(t.group_order, p)
     defects = tuple(vg - min(valuation(t.degree(i), p) for i in b) for b in blocks)
-    return BlockPartition(p=p, blocks=blocks, principal_index=principal, defects=defects)
+    bp = BlockPartition(p=p, blocks=blocks, principal_index=principal, defects=defects)
+    t._memo[key] = bp
+    return bp
 
 
 def count_height_zero_principal(t: CharTable, p: int) -> int:

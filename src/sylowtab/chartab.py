@@ -8,15 +8,32 @@ structural tests (nilpotency of a normal subgroup, cyclic Sylow).
 
 Normal subgroups are unions of conjugacy classes and are represented by a
 frozen set of class indices plus the subgroup order (NormalSet).
+
+The exact table algebra (both orthogonality relations, centralizer and
+quotient class orders, and the central characters of `blocks`) runs on
+one integer encoding per table, `int_values`.  Columns are grouped by
+their conductor N (the lcm of the value conductors down the column); with
+D the lcm of the coefficient denominators, D * chi_i(c) is an integer
+vector in Z[x]/(x^N - 1) for its column's N.  Sums of products within a
+group are integer matrix products; one 0/+-1 matrix per N then maps them
+to the tensor basis of Q(zeta_N), whose elements are shared by all N
+(`_tensor_basis`), so the groups' parts add exactly.  Work grows with k^3
+times the square of the largest column conductor, never with the lcm of
+all of them.  The arrays are int64 when a bound computed from the table
+proves that nothing overflows, and Python ints otherwise; the code is the
+same for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .cyclo import Cyc, cyc_to_rat
-from .numutil import divisors, factorize, p_part, prime_divisors, valuation
+import numpy as np
+
+from .cyclo import MAX_CONDUCTOR, Cyc, cyc_to_rat
+from .numutil import divisors, factorize, lcm, p_part, prime_divisors, valuation
 
 #: desk-scale guard
 MAX_CLASSES = 512
@@ -51,7 +68,10 @@ class CharTable:
 
     Row 0 is the trivial character, column 0 the identity class.  Power
     maps are required for every prime dividing the group order.  Derived
-    data (lattice, quotients) is memoized on the instance.
+    data is memoized in `_memo` on the instance, never process-wide:
+    "lattice" (normal_lattice), "int_values", "column_sums",
+    ("quotient", N) per normal subgroup N, and in `blocks`
+    "central_characters" and ("blocks", p, modulus).
     """
 
     def __init__(self, group_order, classes, power_maps, chars, name=None):
@@ -82,6 +102,207 @@ class CharTable:
 
     def subset_order(self, members) -> int:
         return sum(self.classes[c].size for c in members)
+
+
+# -- the integer encoding ---------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _tensor_basis(n: int) -> tuple[tuple[Fraction, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The tensor basis of Q(zeta_n) and the coordinates of each zeta_n^a on it.
+
+    With n the product of the prime powers q, the basis is the products of
+    zeta_q^e over all q, 0 <= e < phi(q).  A basis element is named by its
+    angle, sum e/q mod 1.  As zeta_q' = zeta_q^(q/q') for q' | q, the basis
+    of Q(zeta_m) is a subset of that of Q(zeta_n) for every m | n, so the
+    coordinates of elements of different subfields add angle by angle.
+
+    Returns the angles (angle 0, the rational 1, first) and, for a = 0 ..
+    n-1, the (basis index, +-1) terms of zeta_n^a.
+    """
+    factors = []
+    for p, b in factorize(n).items():
+        q = p**b
+        step = q // p
+        # zeta_q^r for r >= phi(q): the p-th roots of unity sum to 0, so it
+        # is minus the sum of zeta_q^(r - j q/p), j = 1 .. p-1
+        rows = [((r, 1),) if r < q - step else tuple((r - j * step, -1) for j in range(1, p))
+                for r in range(q)]
+        factors.append((q, pow(n // q, -1, q), rows))
+    index = {Fraction(0): 0}
+    coords = []
+    for a in range(n):
+        terms = [(0, 1)]  # (angle * n, sign); zeta_n^a = prod zeta_q^(a (n/q)^-1 mod q)
+        for q, inv, rows in factors:
+            terms = [(x + e * (n // q), s * u) for x, s in terms for e, u in rows[a * inv % q]]
+        coords.append(tuple((index.setdefault(Fraction(x % n, n), len(index)), s)
+                            for x, s in terms))
+    return tuple(index), tuple(coords)
+
+
+@dataclass(frozen=True)
+class ColumnGroup:
+    """The classes whose columns share one conductor N, encoded at N.
+
+    `values[i, j, a]` is coefficient a of D * chi_i(columns[j]) in
+    Z[x]/(x^N - 1), x standing for zeta_N: each Cyc's power-basis
+    coefficients at its own conductor n are placed at exponents scaled by
+    N/n, with no reduction.  Row a of `basis` holds the coordinates of
+    zeta_N^a on the tensor basis of Q(zeta_N) and `keys` the table-wide
+    index of each of its elements, so `vec @ basis` gives exact
+    coordinates that add across groups.
+    """
+
+    conductor: int  # N: lcm of the value conductors of each of these columns
+    columns: np.ndarray  # (kN,) class indices, ascending
+    values: np.ndarray  # (k, kN, N)
+    basis: np.ndarray  # (N, phi(N)), entries 0 and +-1
+    keys: np.ndarray  # (phi(N),) table-wide basis index; 0 is the rational 1
+
+
+@dataclass(frozen=True)
+class IntValues:
+    """The table's values as integer vectors, one ColumnGroup per conductor."""
+
+    groups: tuple[ColumnGroup, ...]
+    sizes: np.ndarray  # (k,) class sizes
+    denominator: int  # D: lcm of the coefficient denominators
+    width: int  # tensor-basis elements over all groups
+
+
+def int_dtype(bound: int):
+    """int64 when every value is provably below 2^63 in size, else Python ints."""
+    return np.int64 if bound < 1 << 63 else object
+
+
+def _column_conductors(t: CharTable) -> list[int]:
+    """The lcm of the value conductors down each column."""
+    out = [1] * t.k
+    for row in t.chars:
+        for c, v in enumerate(row):
+            out[c] = lcm(out[c], v.n)
+    return out
+
+
+def _conductor_message(c: int, n: int) -> str:
+    return f"class {c}: values need conductor {n}, over the cap {MAX_CONDUCTOR}"
+
+
+def int_values(t: CharTable) -> IntValues:
+    """The integer encoding of `t`, built once and memoized on the table.
+
+    The dtype is int64 when a bound from |G|, the largest class size and
+    the largest l1 norm of a value vector shows that no product or sum of
+    the table algebra leaves int64 (the basis matrices have entries 0 and
+    +-1 and so do not raise l1 norms); otherwise Python ints in object
+    arrays.  Either way the arithmetic is exact.
+    """
+    iv = t._memo.get("int_values")
+    if iv is not None:
+        return iv
+    k = t.k
+    conds = _column_conductors(t)
+    for c, n in enumerate(conds):
+        if n > MAX_CONDUCTOR:
+            raise ValueError(_conductor_message(c, n))
+    den = 1
+    for row in t.chars:
+        for v in row:
+            for q in v.coeffs.values():
+                den = lcm(den, q.denominator)
+    l1 = max(sum(abs(q.numerator) * (den // q.denominator) for q in v.coeffs.values())
+             for row in t.chars for v in row)
+    maxsize = max(abs(cls.size) for cls in t.classes)
+    # a sum over k classes (or characters) of |C| * a * b, a and b value
+    # vectors, has l1 norm <= k * maxsize * l1^2; targets are D^2 |G|
+    dt = int_dtype(max(den * den * abs(t.group_order), k * l1 * l1 * maxsize))
+    keys = {Fraction(0): 0}
+    groups = []
+    for n in sorted(set(conds)):
+        cols = [c for c in range(k) if conds[c] == n]
+        index, entries = [], []
+        for i, row in enumerate(t.chars):
+            for j, c in enumerate(cols):
+                v = row[c]
+                base, step = (i * len(cols) + j) * n, n // v.n
+                for e, q in v.coeffs.items():
+                    index.append(base + e * step)
+                    entries.append(q.numerator * (den // q.denominator))
+        values = np.zeros(k * len(cols) * n, dtype=dt)
+        values[index] = entries
+        angles, coords = _tensor_basis(n)
+        basis = np.zeros((n, len(angles)), dtype=dt)
+        for a, terms in enumerate(coords):
+            for b, s in terms:
+                basis[a, b] = s
+        groups.append(ColumnGroup(
+            conductor=n, columns=np.array(cols), values=values.reshape(k, len(cols), n),
+            basis=basis, keys=np.array([keys.setdefault(x, len(keys)) for x in angles])))
+    iv = IntValues(groups=tuple(groups),
+                   sizes=np.array([cls.size for cls in t.classes], dtype=dt),
+                   denominator=den, width=len(keys))
+    t._memo["int_values"] = iv
+    return iv
+
+
+def _equals_rational(a: np.ndarray, q) -> np.ndarray:
+    """Which coordinate vectors a[..., :] are the rational numbers q."""
+    return (a[..., 0] == q) & ~(a[..., 1:] != 0).any(axis=-1)
+
+
+def _positive_integer(val, irrational: bool, d2: int) -> int | None:
+    """val / d2 when a rational sum val is a positive multiple of d2."""
+    val = int(val)
+    if irrational or val % d2 or val <= 0:
+        return None
+    return val // d2
+
+
+def _row_sums(iv: IntValues) -> np.ndarray:
+    """D^2 sum_c |C| chi_i(c) conj(chi_j(c)) for all i, j on the table-wide
+    tensor basis: (k, k, width).
+
+    In a group, coefficient s of the product in Z[x]/(x^N - 1) pairs
+    coefficient a of chi_i with coefficient a - s of chi_j, i.e. with chi_j
+    rolled by s.
+    """
+    k = iv.sizes.shape[0]
+    out = np.zeros((k, k, iv.width), dtype=iv.sizes.dtype)
+    for g in iv.groups:
+        v, n = g.values, g.conductor
+        flat = (k, v.shape[1] * n)
+        left = (v * iv.sizes[g.columns][None, :, None]).reshape(flat)
+        prod = np.empty((k, k, n), dtype=v.dtype)
+        for s in range(n):
+            prod[:, :, s] = left @ np.roll(v, s, axis=2).reshape(flat).T
+        out[:, :, g.keys] += prod @ g.basis
+    return out
+
+
+def _norm_sums(iv: IntValues, rows) -> tuple[np.ndarray, np.ndarray]:
+    """D^2 sum_{i in rows} |chi_i(c)|^2 for every class c: its rational
+    part and whether it has any other part, two (k,) arrays."""
+    k = iv.sizes.shape[0]
+    rational = np.zeros(k, dtype=iv.sizes.dtype)
+    irrational = np.zeros(k, dtype=bool)
+    for g in iv.groups:
+        v = g.values[rows]
+        prod = np.empty((v.shape[1], g.conductor), dtype=v.dtype)
+        for s in range(g.conductor):
+            prod[:, s] = (v * np.roll(v, s, axis=2)).sum(axis=(0, 2))
+        coords = prod @ g.basis
+        rational[g.columns] = coords[:, 0]
+        irrational[g.columns] = (coords[:, 1:] != 0).any(axis=1)
+    return rational, irrational
+
+
+def _column_sums(t: CharTable) -> tuple[np.ndarray, np.ndarray]:
+    """_norm_sums over all characters (the second orthogonality relation),
+    memoized on the table."""
+    cols = t._memo.get("column_sums")
+    if cols is None:
+        cols = t._memo["column_sums"] = _norm_sums(int_values(t), slice(None))
+    return cols
 
 
 # -- validation -------------------------------------------------------
@@ -120,21 +341,19 @@ def validate(t: CharTable) -> list[str]:
                 bad.append(f"power map p={p} inconsistent at class {c}")
     if set(t.power_maps) != set(prime_divisors(n)):
         bad.append("power map primes do not match the prime divisors of |G|")
-    # orthogonality (row, then column against class sizes)
-    for i in range(t.k):
-        for j in range(i, t.k):
-            s = Cyc.zero()
-            for c in range(t.k):
-                s = s + t.classes[c].size * (t.chars[i][c] * t.chars[j][c].conjugate())
-            want = Fraction(n) if i == j else Fraction(0)
-            if cyc_to_rat(s) != want:
-                bad.append(f"row orthogonality fails for characters {i}, {j}")
-    for c in range(t.k):
-        s = Cyc.zero()
-        for i in range(t.k):
-            s = s + t.chars[i][c].abs2()
-        val = cyc_to_rat(s)
-        if val is None or val != Fraction(n, t.classes[c].size):
+    # orthogonality (row, then column against class sizes), times D^2
+    big = [(c, m) for c, m in enumerate(_column_conductors(t)) if m > MAX_CONDUCTOR]
+    bad += [_conductor_message(c, m) for c, m in big]
+    if not big:
+        iv = int_values(t)
+        want = iv.denominator**2 * n
+        target = np.zeros((t.k, t.k), dtype=iv.sizes.dtype)
+        np.fill_diagonal(target, want)
+        row_ok = _equals_rational(_row_sums(iv), target)
+        for i, j in zip(*np.nonzero(np.triu(~row_ok))):
+            bad.append(f"row orthogonality fails for characters {i}, {j}")
+        rational, irrational = _column_sums(t)
+        for c in np.flatnonzero(irrational | (rational * iv.sizes != want)):
             bad.append(f"column orthogonality fails at class {c}")
     try:
         for i in range(t.k):
@@ -149,13 +368,11 @@ def validate(t: CharTable) -> list[str]:
 
 def centralizer_order(t: CharTable, c: int) -> int:
     """|C_G(x)| for x in class c, via the second orthogonality relation."""
-    s = Cyc.zero()
-    for i in range(t.k):
-        s = s + t.chars[i][c].abs2()
-    val = cyc_to_rat(s)
-    if val is None or val.denominator != 1 or val <= 0:
+    rational, irrational = _column_sums(t)
+    val = _positive_integer(rational[c], irrational[c], int_values(t).denominator**2)
+    if val is None:
         raise ValueError(f"non-integral centralizer order at class {c}")
-    return int(val)
+    return val
 
 
 def kernel_of(t: CharTable, i: int) -> NormalSet:
@@ -209,11 +426,6 @@ def derived_subgroup(t: CharTable) -> NormalSet:
     members = frozenset(range(t.k))
     for i in linear:
         members &= kernel_of(t, i).members
-    return NormalSet(members, t.subset_order(members))
-
-
-def center_classes(t: CharTable) -> NormalSet:
-    members = frozenset(c for c in range(t.k) if t.classes[c].size == 1)
     return NormalSet(members, t.subset_order(members))
 
 
@@ -283,7 +495,11 @@ def has_cyclic_sylow(t: CharTable, p: int) -> bool:
 
 
 def quotient_table(t: CharTable, N: NormalSet) -> CharTable:
-    """The character table of G/N, from the characters containing N."""
+    """The character table of G/N, from the characters containing N;
+    memoized on `t` per N, so the quotient keeps its own memos."""
+    key = ("quotient", N)
+    if key in t._memo:
+        return t._memo[key]
     if N.members not in {ns.members for ns in normal_lattice(t)}:
         raise ValueError("not a normal subgroup of this table")
     rows = [i for i in range(t.k) if N.members <= kernel_of(t, i).members]
@@ -292,23 +508,21 @@ def quotient_table(t: CharTable, N: NormalSet) -> CharTable:
     rep_cols: list[int] = []
     col_class: list[int] = []
     for c in range(t.k):
-        key = tuple(t.chars[i][c] for i in rows)
-        if key not in col_key:
-            col_key[key] = len(rep_cols)
+        key_c = tuple(t.chars[i][c] for i in rows)
+        if key_c not in col_key:
+            col_key[key_c] = len(rep_cols)
             rep_cols.append(c)
-        col_class.append(col_key[key])
+        col_class.append(col_key[key_c])
     q_order = t.group_order // N.order
-    kq = len(rep_cols)
     # class sizes via second orthogonality in the quotient
+    iv = int_values(t)
+    rational, irrational = _norm_sums(iv, rows)
     sizes = []
     for c in rep_cols:
-        s = Cyc.zero()
-        for i in rows:
-            s = s + t.chars[i][c].abs2()
-        cent = cyc_to_rat(s)
-        if cent is None or cent.denominator != 1 or q_order % int(cent):
+        cent = _positive_integer(rational[c], irrational[c], iv.denominator**2)
+        if cent is None or q_order % cent:
             raise ValueError("quotient centralizer order is not an integer divisor")
-        sizes.append(q_order // int(cent))
+        sizes.append(q_order // cent)
     # element orders: least n with x^n inside N
     orders = []
     for c in rep_cols:
@@ -326,4 +540,5 @@ def quotient_table(t: CharTable, N: NormalSet) -> CharTable:
     qt = CharTable(q_order, classes, power_maps, chars, name=name)
     if qt.classes[0].size != 1:
         raise ValueError("identity class lost in quotient (invalid input)")
+    t._memo[key] = qt
     return qt

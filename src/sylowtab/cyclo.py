@@ -391,11 +391,11 @@ def _rewrite_at(n: int, d: int, coeffs: dict[int, Fraction]) -> dict[int, Fracti
         return {0: coeffs[0]} if 0 in coeffs else {}
     mat = _descent_matrix(n, d)
     rhs = [coeffs.get(i, _ZERO) for i in range(len(mat))]
-    sol = _solve_fraction([row[:] for row in mat], rhs, least_squares_exact=True)
+    sol = _solve_fraction([row[:] for row in mat], rhs)
     return {e: c for e, c in enumerate(sol) if c}
 
 
-def _solve_fraction(mat, rhs, least_squares_exact: bool = False):
+def _solve_fraction(mat, rhs):
     """Gaussian elimination over Fraction; mat may be tall (consistent system)."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0

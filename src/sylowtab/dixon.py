@@ -21,7 +21,7 @@ from math import isqrt
 
 import numpy as np
 
-from .chartab import CharTable, ClassData, validate
+from .chartab import CharTable, ClassData
 from .cyclo import Cyc, cyc_root
 from .numutil import is_prime
 from .perm import PermGroup

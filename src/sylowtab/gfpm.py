@@ -2,10 +2,14 @@
 
 The reduction sends zeta_{p^a} to 1 (the ramified part) and zeta_{N'} to a
 fixed element of order N' in GF(p^m), where N' is the p'-part of the
-conductor and m is the multiplicative order of p mod N'.  Block membership
-comparisons always go through a single CycReducer so that all inputs are
-reduced at a common conductor; the partition they induce does not depend
-on the choice of irreducible polynomial (tested).
+conductor and m is the multiplicative order of p mod N'.  For each n
+dividing N that it is asked for, a CycReducer builds the images of
+zeta_n^0 .. zeta_n^(n-1) once, as plain rows of m integers mod p
+(`powers(n)`); reducing a cyclotomic integer is a sum of its coefficients
+times those rows, so `blocks` reduces each conductor group of a table as
+one integer matrix product, all through the one prime ideal over p of the
+table's common conductor.  The partition into blocks does not depend on
+the choice of irreducible polynomial (tested).
 """
 
 from __future__ import annotations
@@ -306,24 +310,35 @@ class CycReducer:
             vinv = pow(pa, -1, nprime)
         else:
             vinv = 0
-        self._powers = []
-        acc = self.field.one()
         step = z**vinv if nprime > 1 else self.field.one()
-        for _ in range(conductor):
-            self._powers.append(acc)
-            acc = acc * step
         self.root_image = step
+        self._powers: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    def powers(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """Row e: the GF(p)-coefficients of the image of zeta_n^e, for
+        e = 0 .. n-1 and n dividing the conductor; built once per n."""
+        rows = self._powers.get(n)
+        if rows is None:
+            if self.conductor % n:
+                raise ValueError(f"conductor {n} does not divide reducer conductor {self.conductor}")
+            step = (self.root_image ** (self.conductor // n)).coeffs
+            rows = [self.field.one().coeffs]
+            for _ in range(n - 1):
+                rows.append(self.field.mul(rows[-1], step))
+            rows = self._powers[n] = tuple(rows)
+        return rows
 
     def reduce(self, a: Cyc) -> FFElem:
         if self.conductor % a.n != 0:
             raise ValueError(f"conductor {a.n} does not divide reducer conductor {self.conductor}")
         if not a.is_integral():
             raise ValueError("ideal reduction needs integral cyclotomic coefficients")
-        k = self.conductor // a.n
-        out = self.field.zero()
+        rows = self.powers(a.n)
+        out = [0] * self.field.m
         for e, c in a.coeffs.items():
-            out = out + int(c) * self._powers[(e * k) % self.conductor]
-        return out
+            row = rows[e]
+            out = [x + int(c) * y for x, y in zip(out, row)]
+        return FFElem(self.field, tuple(x % self.p for x in out))
 
 
 def ideal_reduce(a: Cyc, p: int) -> FFElem:

@@ -42,13 +42,6 @@ def is_prime(n: int) -> bool:
     return factorize(n) == {n: 1}
 
 
-def next_prime(n: int) -> int:
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 def valuation(n: int, p: int) -> int:
     """v_p(n): multiplicity of the prime p in n (n != 0)."""
     if n == 0:

@@ -1,8 +1,15 @@
 import pytest
 
+from fractions import Fraction
+
 from sylowtab.blocks import (abelian_sylow_test, block_partition,
-                             central_character, count_height_zero_principal)
-from sylowtab.gfpm import _is_irreducible
+                             count_height_zero_principal)
+from sylowtab.chartab import CharTable, ClassData
+from sylowtab.cyclo import Cyc
+from sylowtab.gfpm import CycReducer, _is_irreducible
+from sylowtab.numutil import prime_divisors
+from table_reference import (central_character, central_conductor, fresh,
+                             reference_blocks)
 
 
 def _degrees(t, block):
@@ -68,14 +75,7 @@ def test_partition_independent_of_modulus(corpus, name, p):
 
 
 def _default_modulus(t, p):
-    from sylowtab.gfpm import CycReducer
-    from sylowtab.numutil import lcm
-    from sylowtab.blocks import central_character
-    conductor = 1
-    for i in range(t.k):
-        for w in central_character(t, i):
-            conductor = lcm(conductor, w.n)
-    return CycReducer(p, conductor).field.modulus
+    return CycReducer(p, central_conductor(t)).field.modulus
 
 
 def _monic_polys(p, m):
@@ -88,3 +88,65 @@ def _monic_polys(p, m):
             coeffs.append(kk % p)
             kk //= p
         yield tuple(coeffs) + (1,)
+
+
+def test_partition_matches_reference_on_corpus(corpus):
+    for name in corpus.names():
+        t = fresh(corpus.table(name))
+        for p in prime_divisors(t.group_order):
+            bp = block_partition(t, p)
+            assert bp.blocks == reference_blocks(t, p), (name, p)
+            assert 0 in bp.principal()
+
+
+def _central_error(t):
+    try:
+        for i in range(t.k):
+            central_character(t, i)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("bump", [Fraction(1), Fraction(1, 2)])
+def test_non_integral_central_character_message(corpus, bump):
+    """A value that makes |C| chi(x) / chi(1) non-integral is reported at the
+    same character and class as the Cyc definition reports it."""
+    t = corpus.table("S4")
+    i = next(i for i in range(t.k) if t.degree(i) == 2)
+    c = next(c for c in range(t.k) if t.classes[c].size % 2)
+    rows = [list(r) for r in t.chars]
+    rows[i][c] = rows[i][c] + Cyc.from_rational(bump)
+    bad = fresh(t, chars=rows)
+    want = _central_error(bad)
+    assert want is not None
+    with pytest.raises(ValueError) as exc:
+        block_partition(bad, 2)
+    assert str(exc.value) == want
+
+
+def test_partition_with_python_int_reduction():
+    """p large enough that the reduction product leaves int64: every
+    character is alone in its block, as the reference finds."""
+    one = Cyc.one()
+    t = CharTable(2, [ClassData(1, 1), ClassData(1, 2)], {2: (0, 0)},
+                  [[one, one], [one, -one]])
+    p = (1 << 61) - 1
+    assert block_partition(t, p).blocks == reference_blocks(t, p) == ((0,), (1,))
+
+
+def test_repeated_partition_builds_no_reducer(corpus, monkeypatch):
+    t = fresh(corpus.table("M11"))
+    first = block_partition(t, 2)
+    builds = []
+    init = CycReducer.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CycReducer, "__init__", counting)
+    assert block_partition(t, 2) is first
+    assert builds == []
+    block_partition(t, 3)
+    assert len(builds) == 1

@@ -1,13 +1,23 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sylowtab.chartab import (CharTable, centralizer_order, core_subgroups,
-                              derived_subgroup, has_cyclic_sylow, is_p_element,
-                              is_nilpotent_normal, kernel_of, minimal_normals,
-                              normal_lattice, power_class, quotient_table,
-                              validate)
-from sylowtab.cyclo import Cyc
+from sylowtab.chartab import (CharTable, ClassData, _tensor_basis,
+                              centralizer_order, core_subgroups,
+                              derived_subgroup, has_cyclic_sylow, int_values,
+                              is_p_element, is_nilpotent_normal, kernel_of,
+                              minimal_normals, normal_lattice, power_class,
+                              quotient_table, validate)
+from sylowtab.cyclo import Cyc, cyc_root
+from sylowtab.blocks import block_partition
+from sylowtab.corpus import _psl2_perms
+from sylowtab.detectors import detect_center_index_p2, detect_commutator_index_p2
+from sylowtab.dixon import dixon_table
+from sylowtab.perm import PermGroup
+from sylowtab.numutil import divisors, euler_phi, prime_divisors
+from table_reference import (fresh, reference_blocks, reference_centralizer_order,
+                             reference_validate)
 
 
 def test_s4_normal_lattice(corpus):
@@ -99,3 +109,170 @@ def test_validate_catches_bad_power_map(corpus):
 def test_centralizer_order_identity(corpus):
     t = corpus.table("M11")
     assert centralizer_order(t, 0) == 7920
+
+
+# -- the integer encoding against the Cyc-loop definitions -------------
+
+
+def _memo_quotients(t):
+    """Every quotient table memoized on t or, recursively, on its quotients."""
+    out = []
+    for key, q in t._memo.items():
+        if isinstance(key, tuple) and key[0] == "quotient":
+            out += [q] + _memo_quotients(q)
+    return out
+
+
+def _centralizers(t):
+    """centralizer_order at every class, or the first ValueError message."""
+    try:
+        return [centralizer_order(t, c) for c in range(t.k)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _reference_centralizers(t):
+    try:
+        return [reference_centralizer_order(t, c) for c in range(t.k)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_integer_path_matches_reference_on_corpus(corpus):
+    """validate and centralizer orders agree with the Cyc loops on all corpus
+    tables and on every quotient table the detectors build from them."""
+    checked = 0
+    for name in corpus.names():
+        t = fresh(corpus.table(name))
+        for p in prime_divisors(t.group_order):
+            detect_commutator_index_p2(t, p)
+            detect_center_index_p2(t, p)
+        for tab in [t] + _memo_quotients(t):
+            assert validate(tab) == reference_validate(tab) == [], tab
+            assert _centralizers(tab) == _reference_centralizers(tab), tab
+            checked += 1
+    assert checked > len(corpus.names())
+
+
+def _corruptions(t):
+    """Tables near `t` that break validation in different ways."""
+    rows = [list(r) for r in t.chars]
+    out = {}
+    bumped = [list(r) for r in rows]
+    bumped[1][2] = bumped[1][2] + Cyc.one()
+    out["integer bump"] = fresh(t, chars=bumped)
+    irrational = [list(r) for r in rows]
+    irrational[2][1] = irrational[2][1] + cyc_root(3)
+    out["irrational bump"] = fresh(t, chars=irrational)
+    half = [list(r) for r in rows]
+    half[1][3] = half[1][3] + Cyc.from_rational(Fraction(1, 2))
+    out["half bump"] = fresh(t, chars=half)
+    swapped = [list(r) for r in rows]
+    swapped[1][0], swapped[1][1] = swapped[1][1], swapped[1][0]
+    out["swapped values"] = fresh(t, chars=swapped)
+    sizes = list(t.classes)
+    sizes[1] = ClassData(sizes[1].size + 1, sizes[1].element_order)
+    out["class size"] = fresh(t, classes=sizes)
+    out["group order"] = fresh(t, group_order=2 * t.group_order)
+    pm = {p: list(m) for p, m in t.power_maps.items()}
+    even = next(c for c, cls in enumerate(t.classes) if cls.element_order % 2 == 0)
+    pm[2][even] = even  # an element of even order squaring into its own class
+    out["power map"] = fresh(t, power_maps=pm)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["integer bump", "irrational bump", "half bump",
+                                  "swapped values", "class size", "group order",
+                                  "power map"])
+@pytest.mark.parametrize("name", ["S4", "M11", "SL(2,7)"])
+def test_validate_corrupted_matches_reference(corpus, name, kind):
+    bad = _corruptions(corpus.table(name))[kind]
+    assert validate(bad) == reference_validate(bad)
+    assert validate(bad)
+    assert _centralizers(bad) == _reference_centralizers(bad)
+
+
+def _scaled_c2(e, bump=0):
+    """C2 with |G| and both class sizes multiplied by 2^e; `bump` is added to
+    the sign character's value on the involution class."""
+    one = Cyc.one()
+    return CharTable(2 ** (e + 1), [ClassData(2**e, 1), ClassData(2**e, 2)],
+                     {2: (0, 0)}, [[one, one], [one, Cyc.from_rational(bump - 1)]])
+
+
+@pytest.mark.parametrize("e,dtype", [(40, np.int64), (62, object)])
+@pytest.mark.parametrize("bump", [0, 2])
+def test_overflow_rule_picks_dtype(e, dtype, bump):
+    """Entries past int64 switch the encoding to Python ints, with the same
+    violation list and centralizer orders as the Cyc loops."""
+    t = _scaled_c2(e, bump)
+    assert int_values(t).sizes.dtype == dtype
+    assert all(g.values.dtype == dtype for g in int_values(t).groups)
+    assert validate(t) == reference_validate(t)
+    assert "column 0 is not the identity class" in validate(t)
+    assert _centralizers(t) == _reference_centralizers(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 12, 15, 20, 88, 105])
+def test_tensor_basis(n):
+    """Each zeta_n^a equals the sum of its terms, there are phi(n) basis
+    elements (so they are a basis), and the basis of Q(zeta_m) is part of
+    that of Q(zeta_n) for every m | n."""
+    angles, coords = _tensor_basis(n)
+    assert len(angles) == euler_phi(n) and angles[0] == 0
+    assert len(coords) == n
+    for a, terms in enumerate(coords):
+        total = sum((s * cyc_root(angles[b].denominator, angles[b].numerator)
+                     for b, s in terms), Cyc.zero())
+        assert total == cyc_root(n, a), (n, a)
+    for m in divisors(n):
+        assert set(_tensor_basis(m)[0]) <= set(angles)
+
+
+def test_validate_makes_no_cyc_products(corpus, monkeypatch):
+    calls = []
+    mul = Cyc.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyc, "__mul__", counting)
+    for name in ("S9", "A8"):
+        t = fresh(corpus.table(name))
+        assert validate(t) == []
+    assert calls == []
+
+
+def test_quotient_table_is_memoized(corpus):
+    t = corpus.table("GL(2,3)")
+    z = next(ns for ns in normal_lattice(t) if ns.order == 2)
+    assert quotient_table(t, z) is quotient_table(t, z)
+
+
+def test_columns_encoded_at_their_own_conductor():
+    """PSL(2,29): the value conductors 5, 7, 15 and 29 have lcm 3045, but
+    no array is built at that lcm (an encoding at it would hold k^2 * 3045
+    entries and cost k^3 * 3045^2 in its products); the integer path still
+    agrees with the Cyc loops."""
+    t = dixon_table(PermGroup(30, _psl2_perms(29)))
+    iv = int_values(t)
+    assert max(g.conductor for g in iv.groups) == 29
+    assert sum(g.values.size for g in iv.groups) <= t.k * t.k * 29
+    assert sum(g.basis.size for g in iv.groups) <= sum(g.conductor**2 for g in iv.groups)
+    assert iv.width <= sum(euler_phi(g.conductor) for g in iv.groups)
+    assert validate(t) == reference_validate(t) == []
+    assert _centralizers(t) == _reference_centralizers(t)
+    assert block_partition(t, 29).blocks == reference_blocks(t, 29)
+
+
+def test_column_conductor_over_cap_is_a_violation():
+    """Each value is within MAX_CONDUCTOR but a column needs 1031 * 1033
+    together: validate reports it instead of raising."""
+    one = Cyc.one()
+    t = CharTable(3, [ClassData(1, 1), ClassData(1, 3), ClassData(1, 3)], {3: (0, 0, 0)},
+                  [[one] * 3, [one, cyc_root(1031), one], [one, cyc_root(1033), one]])
+    msg = "class 1: values need conductor 1065023, over the cap 1048576"
+    assert validate(t) == [msg]
+    with pytest.raises(ValueError, match=msg):
+        int_values(t)

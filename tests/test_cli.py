@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from sylowtab.chartab import CharTable, ClassData
 from sylowtab.cli import main
+from sylowtab.cyclo import Cyc, cyc_root
 from sylowtab.serialize import GroupDocument, emit_group, emit_table
 
 
@@ -86,6 +88,18 @@ def test_parse_failures_exit_2(tmp_path):
     bad.write_text("{")
     assert main(["analyze", str(bad), "--p", "2"]) == 2
 
+
+
+def test_analyze_column_conductor_over_cap_exits_2(tmp_path, capsys):
+    """Values at conductors 1031 and 1033 share a column; together they need
+    a conductor past the cap, which fails validation (exit 2)."""
+    one = Cyc.one()
+    t = CharTable(3, [ClassData(1, 1), ClassData(1, 3), ClassData(1, 3)], {3: (0, 0, 0)},
+                  [[one] * 3, [one, cyc_root(1031), one], [one, cyc_root(1033), one]])
+    path = tmp_path / "wide.json"
+    path.write_text(emit_table(t))
+    assert main(["analyze", str(path), "--p", "3"]) == 2
+    assert "class 1: values need conductor 1065023, over the cap" in capsys.readouterr().err
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_max_elements_below_one_is_a_usage_error(sl29_group_file, cap, capsys):
