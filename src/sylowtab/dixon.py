@@ -6,23 +6,29 @@ permutations along the representative's word, so a group of order n
 with g generators needs O(n * g) element lookups in all (see perm.py).
 Their simultaneous eigenvectors are found over GF(l) for a prime
 l = 1 (mod exp(G)) large enough to make integer lifting unique
-(l > 2*sqrt(|G|)), and the character values are lifted to cyclotomic
+(l > 2*sqrt(|G|)) and to make a random split likely (l >= k^2, k the
+number of classes), and the character values are lifted to cyclotomic
 integers through a discrete Fourier inversion over power classes.
 
-All the finite-field work is plain Python integer arithmetic on k x k
-matrices (k = number of classes), which is tiny next to the permutation
-counting; the counting itself is vectorized in perm.py terms.
+The GF(l) work is integer numpy products on k x k matrices: one Krylov
+matrix of a random combination of the class matrices, one elimination
+for its minimal polynomial, all eigenvectors in one product, and per
+class one product with the DFT matrix.  Arrays are int64 when
+k * (l-1)^2 (o * (l-1)^2 for a DFT of size o) is below 2^63, and
+Python ints otherwise, with the same code.  Each lifted value is built
+as one Cyc, so it is canonicalized once.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
-from .chartab import CharTable, ClassData
-from .cyclo import Cyc, cyc_root
+from .chartab import CharTable, ClassData, int_dtype
+from .cyclo import Cyc
 from .numutil import is_prime
 from .perm import PermGroup
 
@@ -31,8 +37,9 @@ class DixonFailure(RuntimeError):
     """Eigenvalue splitting failed for every attempted field."""
 
 
-def class_matrices(g: PermGroup) -> list[np.ndarray]:
-    """Class-algebra structure constants: mats[i][j, m] = a_{ijm} where
+def class_matrices(g: PermGroup) -> np.ndarray:
+    """Class-algebra structure constants as one (k, k, k) int64 array:
+    A[i, j, m] = a_{ijm} where
     class_sum(i) * class_sum(j) = sum_m a_{ijm} * class_sum(m).
 
     a_{ijm} is the number of x in C_i with x^-1 * z_m in C_j, z_m the
@@ -48,14 +55,30 @@ def class_matrices(g: PermGroup) -> list[np.ndarray]:
     for rep, y in g.right_mults(g.index_batch(g.inverses()), cd.reps):
         A[:, :, cd.class_of[rep]] = np.bincount(row + cd.class_of[y],
                                                 minlength=k * k).reshape(k, k)
-    return [A[i] for i in range(k)]
+    return A
 
 
-# -- GF(l) polynomial and matrix helpers (plain ints) ------------------
+# -- GF(l) polynomial and matrix helpers ------------------------------
 
 
-def _mat_vec(M, v, l):
-    return [sum(int(M[j][m]) * v[m] for m in range(len(v))) % l for j in range(len(v))]
+def _solve_mod(K, l):
+    """Gauss-Jordan elimination of the k x (k+1) matrix K mod the prime l:
+    the solution c of K[:, :k] c = K[:, k], or None when K[:, :k] is
+    singular.  Each step is one outer-product update of the whole matrix."""
+    K = K.copy()
+    k = K.shape[0]
+    for c in range(k):
+        nz = np.flatnonzero(K[c:, c])
+        if not nz.size:
+            return None
+        r = c + int(nz[0])
+        if r != c:
+            K[[c, r]] = K[[r, c]]
+        K[c] = K[c] * pow(int(K[c, c]), -1, l) % l
+        col = K[:, c].copy()
+        col[c] = 0
+        K = (K - col[:, None] * K[c]) % l
+    return K[:, k]
 
 
 def _poly_trim(f):
@@ -142,62 +165,6 @@ def _roots_of_split_poly(f, l, rng):
     return roots
 
 
-def _min_poly_of_vector(M, v, l):
-    """Minimal monic polynomial h with h(M) v = 0, via a tracked Krylov basis."""
-    k = len(v)
-    ech = []  # (pivot, normalized reduced vector, its polynomial coefficients)
-    cur = list(v)
-    j = 0
-    while True:
-        w = list(cur)
-        poly = [0] * j + [1]
-        for pivot, vec, pc in ech:
-            f = w[pivot]
-            if f:
-                w = [(a - f * b) % l for a, b in zip(w, vec)]
-                poly = [(a - f * b) % l for a, b in
-                        zip(poly + [0] * len(pc), pc + [0] * len(poly))][: max(len(poly), len(pc))]
-        nz = next((i for i, a in enumerate(w) if a), None)
-        if nz is None:
-            return _poly_trim(poly)
-        inv = pow(w[nz], -1, l)
-        ech.append((nz, [a * inv % l for a in w], [a * inv % l for a in poly]))
-        cur = _mat_vec(M, cur, l)
-        j += 1
-        if j > k:  # pragma: no cover
-            raise AssertionError("Krylov loop exceeded the matrix dimension")
-
-
-def _nullspace_vector(M, lam, l):
-    """A nonzero kernel vector of (M - lam*I); None unless the kernel is 1-dim."""
-    k = len(M)
-    A = [[(int(M[i][j]) - (lam if i == j else 0)) % l for j in range(k)] for i in range(k)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, k) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, l)
-        A[r] = [x * inv % l for x in A[r]]
-        for i in range(k):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % l for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(k) if c not in pivots]
-    if len(free) != 1:
-        return None
-    fc = free[0]
-    v = [0] * k
-    v[fc] = 1
-    for row, c in zip(range(len(pivots)), pivots):
-        v[c] = (-A[row][fc]) % l
-    return v
-
-
 def _sqrt_mod(a, l):
     """A square root of a modulo the odd prime l (Tonelli-Shanks)."""
     a %= l
@@ -237,8 +204,15 @@ def _primitive_root(l):
     raise AssertionError
 
 
-def _choose_ell(exponent: int, order: int, skip: int = 0) -> int:
-    bound = 2 * isqrt(order) + 2
+def _choose_ell(exponent: int, order: int, k: int, skip: int = 0) -> int:
+    """The (skip+1)-th prime l = 1 (mod exponent) above max(2*sqrt(order)+2, k^2).
+
+    l > 2*sqrt(|G|) makes the lift of every value unique.  l >= k^2 makes a
+    split attempt fail with probability at most 1/2: the eigenvalues of two
+    characters under random coefficients collide with probability 1/l, and
+    there are fewer than k^2 / 2 pairs.
+    """
+    bound = max(2 * isqrt(order) + 2, k * k)
     l = exponent + 1
     found = 0
     while True:
@@ -263,58 +237,81 @@ def dixon_table(g: PermGroup, seed: int = 1, max_attempts: int = 8) -> CharTable
     if k == 1:
         return CharTable(1, classes, power_maps, ((Cyc.one(),),), name=g.name)
     e = g.exponent()
-    mats = class_matrices(g)
+    A = class_matrices(g)
     inv_class = [int(cd.class_of[g.inv_index(r)]) for r in cd.reps]
     rng = random.Random(seed)
     for ell_round in range(4):
-        l = _choose_ell(e, n, skip=ell_round)
+        l = _choose_ell(e, n, k, skip=ell_round)
         for _ in range(max_attempts):
-            vecs = _common_eigenvectors(mats, k, l, rng)
-            if vecs is None:
+            V = _common_eigenvectors(A, k, l, rng)
+            if V is None:
                 continue
-            table = _lift_characters(g, cd, vecs, inv_class, l)
+            table = _lift_characters(g, cd, V, inv_class, l)
             if table is not None:
-                t = CharTable(n, classes, power_maps, table, name=g.name)
-                return t
+                return CharTable(n, classes, power_maps, table, name=g.name)
     raise DixonFailure(f"no split found for {g.name or 'group'} after all retries")
 
 
-def _common_eigenvectors(mats, k, l, rng):
-    """k one-dimensional common eigenspaces of the class matrices, or None."""
-    coeffs = [rng.randrange(l) for _ in range(k)]
-    M = [[sum(c * int(mat[i][j]) for c, mat in zip(coeffs, mats)) % l
-          for j in range(k)] for i in range(k)]
-    v0 = [rng.randrange(l) for _ in range(k)]
-    h = _min_poly_of_vector(M, v0, l)
-    if len(h) - 1 != k:
+def _common_eigenvectors(A, k, l, rng):
+    """The k common eigenvectors of the class matrices A (k, k, k) mod l,
+    as the columns of a k x k array normalized to 1 in row 0, or None.
+
+    M = sum_i c_i A[i] for random c; the Krylov matrix [v0, M v0, ..,
+    M^k v0] of a random v0 has rank k exactly when the minimal polynomial
+    h of v0 has degree k, and then one elimination gives h.  If h splits
+    into k distinct roots, every eigenspace of M is one-dimensional and
+    q_lam(M) v0 with q_lam = h / (x - lam) spans the lam-eigenspace, so
+    all eigenvectors are one product of the Krylov basis with the
+    quotients' coefficients.
+    """
+    dt = int_dtype(k * (l - 1) ** 2)
+    A = A.astype(dt) % l
+    coeffs = np.array([rng.randrange(l) for _ in range(k)], dtype=dt)
+    M = np.tensordot(coeffs, A, axes=1) % l
+    K = np.empty((k, k + 1), dtype=dt)
+    K[:, 0] = [rng.randrange(l) for _ in range(k)]
+    for j in range(k):
+        K[:, j + 1] = M @ K[:, j] % l
+    c = _solve_mod(K, l)
+    if c is None:
         return None
+    h = [(-int(x)) % l for x in c] + [1]
     roots = _roots_of_split_poly(h, l, rng)
     if roots is None or len(roots) != k:
         return None
-    vecs = []
-    for lam in sorted(roots):
-        v = _nullspace_vector(M, lam, l)
-        if v is None or v[0] == 0:
+    lam = np.array(sorted(roots), dtype=dt)
+    Q = np.empty((k, k), dtype=dt)  # column j: coefficients of h / (x - lam_j)
+    Q[k - 1] = 1
+    for i in range(k - 1, 0, -1):
+        Q[i - 1] = (h[i] + lam * Q[i]) % l
+    V = K[:, :k] @ Q % l
+    if (V[0] == 0).any():
+        return None
+    V = V * np.array([pow(int(x), -1, l) for x in V[0]], dtype=dt) % l
+    for Ai in A:  # V[m, j] = omega_j(class m): an eigenvector of every A[i]
+        W = Ai @ V % l
+        if (W != W[0] * V % l).any():
             return None
-        inv0 = pow(v[0], -1, l)
-        v = [a * inv0 % l for a in v]  # now v[m] = omega(class m)
-        for mat in mats:
-            mv = _mat_vec(mat, v, l)
-            theta = mv[0]  # since v[0] = 1
-            if any(x != theta * y % l for x, y in zip(mv, v)):
-                return None
-        vecs.append(v)
-    return vecs
+    return V
 
 
-def _lift_characters(g, cd, vecs, inv_class, l):
-    k = len(vecs)
+def _lift_characters(g, cd, V, inv_class, l):
+    """The sorted character rows from the eigenvectors V, or None when a
+    degree, a coefficient bound or a coefficient sum rules the split out.
+
+    The values at class m of order o are the discrete Fourier transform
+    over GF(l) of the characters at the powers of its representative: one
+    product with the o x o DFT matrix for all characters, each value then
+    one Cyc of conductor o.
+    """
+    k = V.shape[1]
     n = g.order
-    sizes = [int(s) for s in cd.sizes]
+    orders = [int(o) for o in cd.orders]
+    dt = int_dtype(max(k, *orders) * (l - 1) ** 2)
+    V = V.astype(dt)
+    X = V * np.array([pow(int(s), -1, l) for s in cd.sizes], dtype=dt)[:, None] % l
     degrees = []
-    chis_mod = []
-    for v in vecs:
-        s = sum(v[m] * v[inv_class[m]] * pow(sizes[m], -1, l) for m in range(k)) % l
+    for s in ((X * V[inv_class] % l).sum(axis=0) % l).tolist():
         d2 = n * pow(s, -1, l) % l
         try:
             d = _sqrt_mod(d2, l)
@@ -324,44 +321,34 @@ def _lift_characters(g, cd, vecs, inv_class, l):
         if d == 0 or d * d > n:
             return None
         degrees.append(d)
-        chis_mod.append([d * v[m] * pow(sizes[m], -1, l) % l for m in range(k)])
     if sum(d * d for d in degrees) != n:
         return None
+    D = np.array(degrees, dtype=dt)
+    chis = X * D % l  # chis[m, i] = chi_i(class m) mod l
     w = _primitive_root(l)
-    # power classes: class of rep^s for s < order
-    power_class = []
+    cols = []
+    memo = {}
     for m, rep in enumerate(cd.reps):
-        o = cd.orders[m]
-        row = [0]  # rep^0 is the identity, class 0
+        o = orders[m]
+        power_class = [0]  # classes of rep^s for s < o
         idx = rep
-        for s in range(1, o):
-            row.append(int(cd.class_of[idx]))
+        for _ in range(1, o):
+            power_class.append(int(cd.class_of[idx]))
             idx = g.mul_index(idx, rep)
-        power_class.append(row)
-    rows = []
-    for d, chi in zip(degrees, chis_mod):
-        values = []
-        for m in range(k):
-            o = cd.orders[m]
-            z = pow(w, (l - 1) // o, l)
-            zinv = pow(z, -1, l)
-            oinv = pow(o, -1, l)
-            coeffs = []
-            for j in range(o):
-                c = oinv * sum(chi[power_class[m][s]] * pow(zinv, j * s, l)
-                               for s in range(o)) % l
-                if c > d:
-                    return None
-                coeffs.append(c)
-            if sum(coeffs) != d:
-                return None
-            val = Cyc.zero()
-            for j, c in enumerate(coeffs):
-                if c:
-                    val = val + c * cyc_root(o, j)
-            values.append(val)
-        rows.append(tuple(values))
-    rows.sort(key=_char_sort_key)
+        zinv = pow(w, (l - 1) // o * (o - 1), l)  # zeta_o^-1 in GF(l)
+        zpow = np.array([pow(zinv, e, l) for e in range(o)], dtype=dt)
+        F = zpow[np.outer(np.arange(o), np.arange(o)) % o]  # F[s, j] = zeta_o^(-js)
+        C = chis[power_class].T @ F % l * pow(o, -1, l) % l
+        if (C > D[:, None]).any() or (C.sum(axis=1) != D).any():
+            return None
+        col = []
+        for row in C.tolist():
+            key = (o, tuple(row))
+            if key not in memo:
+                memo[key] = Cyc(o, {j: Fraction(c) for j, c in enumerate(row) if c})
+            col.append(memo[key])
+        cols.append(col)
+    rows = sorted(zip(*cols), key=_char_sort_key)
     if any(v != Cyc.one() for v in rows[0]):
         # the trivial character must sort first (degree 1, all values 1)
         trivial = next(i for i, r in enumerate(rows) if all(v == Cyc.one() for v in r))

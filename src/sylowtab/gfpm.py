@@ -84,15 +84,7 @@ class GF:
     @property
     def generator(self) -> "FFElem":
         """Smallest generator of the multiplicative group (deterministic)."""
-        if not hasattr(self, "_gen"):
-            q1 = self.order - 1
-            primes = list(factorize(q1))
-            for idx in range(1, self.order):
-                cand = self.elem(_int_to_poly(idx, self.p, self.m))
-                if all((cand ** (q1 // r)).coeffs != self.one().coeffs for r in primes):
-                    self._gen = cand
-                    break
-        return self._gen
+        return FFElem(self, _generator(self))
 
     def __eq__(self, other):
         return (
@@ -105,6 +97,20 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.p}^{self.m}; mod={list(self.modulus)})"
+
+
+@lru_cache(maxsize=None)
+def _generator(field: GF) -> tuple[int, ...]:
+    """Coefficients of the smallest generator of GF(p^m)*, searched once
+    per (p, m, modulus): fields compare and hash by those three."""
+    q1 = field.order - 1
+    primes = list(factorize(q1))
+    one = field.one().coeffs
+    for idx in range(1, field.order):
+        cand = field.elem(_int_to_poly(idx, field.p, field.m))
+        if all((cand ** (q1 // r)).coeffs != one for r in primes):
+            return cand.coeffs
+    raise AssertionError("no generator found")
 
 
 def _int_to_poly(k: int, p: int, m: int) -> list[int]:

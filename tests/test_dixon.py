@@ -1,11 +1,21 @@
+import itertools
+import random
+import re
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sylowtab import dixon
 from sylowtab.chartab import centralizer_order, validate
+from sylowtab.corpus import corpus_entries
 from sylowtab.cyclo import Cyc, cyc_to_rat
 from sylowtab.dixon import dixon_table
+from sylowtab.numutil import is_prime
 from sylowtab.perm import PermGroup, perm_from_cycles
+from sylowtab.serialize import emit_table
 
 TABLE_NAMES = ["C2", "S4", "A5", "SL(2,3)", "PSL(2,7)", "M11", "SL(2,9)", "A5xQ8"]
 
@@ -59,3 +69,101 @@ def test_trivial_character_is_row_zero(corpus):
 def test_deterministic_given_seed(corpus):
     g = corpus.group("S4")
     assert dixon_table(g, seed=5).chars == dixon_table(g, seed=5).chars
+
+
+# -- pinned tables, prime choice, the Python-int path and the work guard ---
+
+TABLES_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "tables"
+CORPUS_NAMES = [e.name for e in corpus_entries()]
+
+
+def _relabelled(entry, seed):
+    """The corpus group with its points renamed by a seeded bijection."""
+    sigma = list(range(entry.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in entry.generators:
+        img = [0] * entry.degree
+        for x, gx in enumerate(g):
+            img[sigma[x]] = sigma[gx]
+        gens.append(img)
+    return PermGroup(entry.degree, gens, name=entry.name)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_table_equals_committed_document(corpus, name):
+    path = TABLES_DIR / (re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_") + ".json")
+    assert emit_table(corpus.table(name)) == path.read_text()
+
+
+@pytest.mark.parametrize("name", ["S4", "M11", "A5xQ8"])
+def test_relabelled_points_give_the_same_table(corpus, name):
+    text = emit_table(corpus.table(name))
+    for seed in (1, 2):
+        assert emit_table(dixon_table(_relabelled(corpus.entry(name), seed))) == text
+
+
+def test_every_corpus_group_splits_at_its_first_prime(corpus, monkeypatch):
+    rounds = []
+    choose = dixon._choose_ell
+
+    def recording(exponent, order, k, skip=0):
+        rounds.append(skip)
+        return choose(exponent, order, k, skip)
+
+    monkeypatch.setattr(dixon, "_choose_ell", recording)
+    for name in CORPUS_NAMES:
+        rounds.clear()
+        dixon_table(corpus.group(name))
+        assert rounds in ([], [0]), name  # [] for the trivial group
+
+
+def test_prime_is_at_least_k_squared():
+    # C2 x C2 x C2: exponent 2, k = 8; 2*sqrt(8) + 2 alone would give l = 7
+    assert dixon._choose_ell(2, 8, 8) == 67
+    assert dixon._choose_ell(12, 24, 5) == 37  # 2*sqrt(24) + 2 = 11 < 25
+    assert dixon._choose_ell(12, 24, 5, skip=1) == 61
+
+
+# S4 and SL(2,3) at l > 2^32 take the Python-int path throughout.  M11
+# (k = 10, elements of order 11) at l just above sqrt(2^63 / 11) splits in
+# int64, and its lift takes Python ints because the DFT bound
+# 11 * (l-1)^2 passes 2^63 while the split's 10 * (l-1)^2 does not.
+@pytest.mark.parametrize("name,start,split_dtype", [
+    ("S4", 1 << 32, object),
+    ("SL(2,3)", 1 << 32, object),
+    ("M11", isqrt((1 << 63) // 11) + 1, np.int64),
+])
+def test_python_int_path_above_int64(corpus, name, start, split_dtype):
+    g = corpus.group(name)
+    cd = g.conjugacy_data()
+    k = len(cd.reps)
+    e = g.exponent()
+    l = next(x for x in itertools.count((start // e + 1) * e + 1, e) if is_prime(x))
+    assert max(cd.orders) * (l - 1) ** 2 >= 1 << 63
+    A = dixon.class_matrices(g)
+    inv_class = [int(cd.class_of[g.inv_index(r)]) for r in cd.reps]
+    rng = random.Random(3)
+    V = next(V for V in (dixon._common_eigenvectors(A, k, l, rng) for _ in range(8))
+             if V is not None)
+    assert V.dtype == split_dtype
+    assert dixon._lift_characters(g, cd, V, inv_class, l) == dixon_table(g).chars
+
+
+def test_solve_mod_detects_singular_krylov_matrix():
+    K = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
+    assert dixon._solve_mod(K, 7) is None
+    K = np.array([[1, 2, 3], [3, 4, 5]], dtype=np.int64)
+    c = dixon._solve_mod(K, 7)
+    assert ((K[:, :2] @ c - K[:, 2]) % 7 == 0).all()
+
+
+def test_dixon_makes_no_cyc_arithmetic(corpus, monkeypatch):
+    calls = []
+    for op in ("__add__", "__mul__"):
+        f = getattr(Cyc, op)
+        monkeypatch.setattr(Cyc, op, lambda self, other, f=f: calls.append(1) or f(self, other))
+    for name in ("S9", "A5xQ8"):
+        t = dixon_table(corpus.group(name))
+        assert t.chars == corpus.table(name).chars
+    assert calls == []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sylowtab.cyclo import Cyc, cyc_root
+from sylowtab import gfpm
 from sylowtab.gfpm import GF, CycReducer, ideal_reduce
 
 FIELDS = [GF(2, 1), GF(3, 1), GF(2, 3), GF(3, 2), GF(5, 2), GF(7, 1)]
@@ -41,6 +42,25 @@ def test_field_axioms_exhaustive(field):
         # Frobenius: x -> x^p is additive
         for b in elems:
             assert (a + b) ** field.p == a ** field.p + b ** field.p
+
+
+def test_second_reducer_for_a_field_does_no_generator_search(monkeypatch):
+    searched = []
+    to_poly = gfpm._int_to_poly
+
+    def counting(k, p, m):
+        searched.append(k)
+        return to_poly(k, p, m)
+
+    monkeypatch.setattr(gfpm, "_int_to_poly", counting)
+    first = CycReducer(5, 13 * 25)  # GF(5^4): 13 divides 5^4 - 1
+    assert first.field.m == 4
+    searched.clear()
+    second = CycReducer(5, 13)
+    assert second.field == first.field
+    assert searched == []
+    assert second.field.generator == first.field.generator
+    assert second.powers(13) == first.powers(13)
 
 
 def test_smallest_irreducible_deterministic():
