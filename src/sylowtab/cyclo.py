@@ -7,6 +7,21 @@ construction (in particular conductor-2-mod-4 representations are always
 rewritten), so structural equality is semantic equality and rational
 values always live at conductor 1.
 
+Reduction reads the rows x^a mod Phi_n, cached per (n, a); `power_matrix`
+stacks them for integer products.  Canonicalization descends one prime q
+of n at a time to d = n/q while the value lies in Q(zeta_d):
+
+* q^2 | n: Q(zeta_n) = Q(zeta_d)[z]/(z^q - zeta_d) and the power basis of
+  Q(zeta_n) is the product of the bases 1, .., zeta_d^(phi(d)-1) and
+  1, .., z^(q-1), so the value lies in Q(zeta_d) exactly when every
+  exponent is divisible by q, and e -> e/q rewrites it;
+* q || n: Gal(Q(zeta_n)/Q(zeta_d)) is cyclic of order q - 1, so fixedness
+  under one generator decides, and only then a projector cached per
+  (n, q) (the inverse of a square block of the embedding of Q(zeta_d))
+  rewrites it.
+  For q = 2 the group is trivial: that step is the rewrite of a conductor
+  2 mod 4, zeta_2m = -zeta_m^((m+1)/2).
+
 Character values and central characters throughout the package are Cyc
 instances; plain rationals are Cyc with conductor 1.
 """
@@ -17,7 +32,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .numutil import euler_phi, factorize, prime_divisors
+import numpy as np
+
+from .numutil import euler_phi, prime_divisors, primitive_root
 
 #: Guard against runaway conductors (desk-scale cap).
 MAX_CONDUCTOR = 1 << 20
@@ -56,18 +73,49 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _reduce_mod_phi(n: int, dense: list[Fraction]) -> dict[int, Fraction]:
-    """Reduce a dense coefficient list mod Phi_n; return sparse dict."""
+@lru_cache(maxsize=None)
+def _power_row(n: int, a: int) -> tuple[tuple[int, int], ...]:
+    """zeta_n^a (0 <= a < n) on the power basis: x^a mod Phi_n as
+    (exponent, coefficient) pairs."""
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
-    for i in range(len(dense) - 1, deg - 1, -1):
+    if a < deg:
+        return ((a, 1),)
+    low = [(j, c) for j, c in enumerate(phi[:deg]) if c]
+    dense = [0] * (a + 1)
+    dense[a] = 1
+    for i in range(a, deg - 1, -1):
         c = dense[i]
         if c:
-            dense[i] = _ZERO
-            for j in range(deg):
-                if phi[j]:
-                    dense[i - deg + j] -= c * phi[j]
-    return {e: c for e, c in enumerate(dense[:deg]) if c}
+            for j, pj in low:
+                dense[i - deg + j] -= c * pj
+    return tuple((e, c) for e, c in enumerate(dense[:deg]) if c)
+
+
+@lru_cache(maxsize=None)
+def power_matrix(n: int) -> np.ndarray:
+    """Read-only int64 array (n, phi(n)) whose row a holds zeta_n^a on the
+    power basis, the rows `_reduce_mod_phi` reads."""
+    out = np.zeros((n, euler_phi(n)), dtype=np.int64)
+    for a in range(n):
+        for j, c in _power_row(n, a):
+            out[a, j] = c
+    out.setflags(write=False)
+    return out
+
+
+def _reduce_mod_phi(n: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
+    """sum c zeta_n^e (any integer exponents) on the power basis of Q(zeta_n)."""
+    phi = euler_phi(n)
+    out: dict[int, Fraction] = {}
+    for e, c in coeffs.items():
+        e %= n
+        if e < phi:
+            out[e] = out.get(e, _ZERO) + c
+        else:
+            for j, r in _power_row(n, e):
+                out[j] = out.get(j, _ZERO) + c * r
+    return {e: c for e, c in out.items() if c}
 
 
 class Cyc:
@@ -135,10 +183,7 @@ class Cyc:
         a = self._lift(m)
         for e, c in other._lift(m).items():
             a[e] = a.get(e, _ZERO) + c
-        dense = [_ZERO] * (max(a) + 1 if a else 1)
-        for e, c in a.items():
-            dense[e] = c
-        return Cyc(m, _reduce_mod_phi(m, dense))
+        return Cyc(m, a)
 
     def __radd__(self, other) -> "Cyc":
         return self.__add__(other)
@@ -167,10 +212,7 @@ class Cyc:
             for e2, c2 in b.items():
                 e = e1 + e2
                 prod[e] = prod.get(e, _ZERO) + c1 * c2
-        dense = [_ZERO] * (max(prod) + 1 if prod else 1)
-        for e, c in prod.items():
-            dense[e] = c
-        return Cyc(m, _reduce_mod_phi(m, dense))
+        return Cyc(m, prod)
 
     def __rmul__(self, other) -> "Cyc":
         return self.__mul__(other)
@@ -207,23 +249,16 @@ class Cyc:
         if self.n == 1:
             return Cyc.from_rational(1 / self.coeffs[0])
         phi = euler_phi(self.n)
-        # Columns: coordinates of self * z^j for j < phi(n).
-        cols = []
-        z = Cyc(self.n, {1: _ONE}, _canonical=True)
-        cur = self
-        for _ in range(phi):
-            # cur may have canonicalized to a smaller conductor, so its lift
-            # can carry exponents >= phi(n); reduce mod Phi_n before use
-            lifted = cur._lift(self.n)
-            dense = [_ZERO] * (max(lifted) + 1 if lifted else 1)
-            for e, c in lifted.items():
-                dense[e] = c
-            cols.append(_reduce_mod_phi(self.n, dense))
-            cur = cur * z
-        mat = [[cols[j].get(i, _ZERO) for j in range(phi)] for i in range(phi)]
-        rhs = [_ONE] + [_ZERO] * (phi - 1)
-        sol = _solve_fraction(mat, rhs)
-        return Cyc(self.n, {e: c for e, c in enumerate(sol) if c})
+        # column j: coordinates of self * z^j; the system is regular since
+        # self != 0, so reduced row i holds coordinate i of the inverse, whose
+        # minimal conductor is that of self
+        cols = [_reduce_mod_phi(self.n, {e + j: c for e, c in self.coeffs.items()})
+                for j in range(phi)]
+        aug = [[col.get(i, _ZERO) for col in cols] + [_ONE if i == 0 else _ZERO]
+               for i in range(phi)]
+        _row_reduce(aug, phi)
+        return Cyc(self.n, {i: row[-1] for i, row in enumerate(aug) if row[-1]},
+                   _canonical=True)
 
     # -- Galois action ------------------------------------------------
 
@@ -234,14 +269,9 @@ class Cyc:
             raise ValueError(f"{j} is not coprime to conductor {self.n}")
         if self.n == 1:
             return self
-        dense_map: dict[int, Fraction] = {}
-        for e, c in self.coeffs.items():
-            k = (e * j) % self.n
-            dense_map[k] = dense_map.get(k, _ZERO) + c
-        dense = [_ZERO] * (max(dense_map) + 1 if dense_map else 1)
-        for e, c in dense_map.items():
-            dense[e] = c
-        return Cyc(self.n, _reduce_mod_phi(self.n, dense))
+        # a conjugate has the same minimal conductor, so it is canonical
+        # once reduced
+        return Cyc(self.n, _galois_image(self.n, self.coeffs, j), _canonical=True)
 
     def conjugate(self) -> "Cyc":
         return self.galois(-1)
@@ -296,10 +326,7 @@ def cyc_root(n: int, k: int = 1) -> Cyc:
     """zeta_n^k, canonicalized (cyc_root(1, 0) is the rational 1)."""
     if n < 1:
         raise ValueError("n must be positive")
-    k %= n
-    dense = [_ZERO] * (k + 1)
-    dense[k] = _ONE
-    return Cyc(n, _reduce_mod_phi(n, dense))
+    return Cyc(n, {k: _ONE})
 
 
 def cyc_to_rat(a: Cyc) -> Fraction | None:
@@ -313,93 +340,76 @@ def cyc_to_rat(a: Cyc) -> Fraction | None:
 
 
 def _canonicalize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    coeffs = {e: c for e, c in coeffs.items() if c}
+    """The minimal conductor and power-basis coordinates of sum c zeta_n^e.
+
+    After reducing mod Phi_n, each prime q of n is descended to d = n/q
+    while the value lies in Q(zeta_d).  For q^2 | n that is a support check
+    (every exponent divisible by q) and the rewrite e -> e/q; for q || n it
+    is fixedness under one generator of Gal(Q(zeta_n)/Q(zeta_d)) and, only
+    then, the projector of `_projector`.  The step at q = 2 || n has a
+    trivial Galois group and always applies, so no conductor 2 mod 4
+    survives.
+    """
+    coeffs = _reduce_mod_phi(n, coeffs)
     if not coeffs:
         return 1, {}
-    if max(coeffs) >= euler_phi(n):
-        dense = [_ZERO] * (max(coeffs) + 1)
-        for e, c in coeffs.items():
-            dense[e] = c
-        coeffs = _reduce_mod_phi(n, dense)
-        if not coeffs:
-            return 1, {}
-    # Conductor 2 mod 4 is never minimal: zeta_{2m} = -zeta_m^((m+1)/2).
-    while n % 4 == 2:
-        m = n // 2
-        s = (m + 1) // 2
-        out: dict[int, Fraction] = {}
-        for e, c in coeffs.items():
-            k = (e * s) % m
-            out[k] = out.get(k, _ZERO) + (c if e % 2 == 0 else -c)
-        dense = [_ZERO] * (max(out) + 1 if out else 1)
-        for e, c in out.items():
-            dense[e] = c
-        n = m
-        coeffs = _reduce_mod_phi(n, dense)
-        if not coeffs:
-            return 1, {}
-    # Descend one prime at a time while the element is Galois-fixed.
-    changed = True
-    while changed and n > 1:
-        changed = False
-        for q in prime_divisors(n):
+    for q in prime_divisors(n):
+        while n % q == 0:
             d = n // q
-            if d % 4 == 2:
-                d //= 2  # Q(zeta_d) = Q(zeta_{d/2}) for d = 2 mod 4
-            if _fixed_over(n, d, coeffs):
-                coeffs = _rewrite_at(n, d, coeffs)
-                n = d
-                changed = True
-                break
+            if d % q == 0:
+                if any(e % q for e in coeffs):
+                    break
+                coeffs = {e // q: c for e, c in coeffs.items()}
+            else:
+                # a = 1 mod d and a primitive root mod q: zeta_n -> zeta_n^a
+                # generates Gal(Q(zeta_n)/Q(zeta_d)), cyclic of order q - 1
+                a = 1 + d * ((primitive_root(q) - 1) * pow(d, -1, q) % q)
+                if _galois_image(n, coeffs, a) != coeffs:
+                    break
+                y: dict[int, Fraction] = {}
+                for r, p in _projector(n, q):
+                    x = coeffs.get(r)
+                    if x:
+                        for i, b in p:
+                            y[i] = y.get(i, _ZERO) + x * b
+                coeffs = {i: c for i, c in y.items() if c}
+            n = d
     return n, coeffs
 
 
-def _fixed_over(n: int, d: int, coeffs: dict[int, Fraction]) -> bool:
-    """Is the element fixed by Gal(Q(zn)/Q(zd)), i.e. does it lie in Q(zd)?"""
-    for j in range(1 + d, n, d):
-        if gcd(j, n) != 1:
-            continue
-        mapped: dict[int, Fraction] = {}
-        for e, c in coeffs.items():
-            k = (e * j) % n
-            mapped[k] = mapped.get(k, _ZERO) + c
-        dense = [_ZERO] * (max(mapped) + 1 if mapped else 1)
-        for e, c in mapped.items():
-            dense[e] = c
-        if _reduce_mod_phi(n, dense) != coeffs:
-            return False
-    return True
+def _galois_image(n: int, coeffs: dict[int, Fraction], a: int) -> dict[int, Fraction]:
+    """zeta_n -> zeta_n^a applied to power-basis coordinates (gcd(a, n) = 1)."""
+    return _reduce_mod_phi(n, {e * a % n: c for e, c in coeffs.items()})
 
 
 @lru_cache(maxsize=None)
-def _descent_matrix(n: int, d: int):
-    """Row-reduced solver data expressing conductor-n coords in the zeta_d basis."""
-    phi_n = euler_phi(n)
-    phi_d = euler_phi(d)
-    k = n // d
-    cols = []
+def _projector(n: int, q: int):
+    """Pairs (r_j, p_j) for a prime q || n, d = n/q: an element of Q(zeta_d)
+    with coordinates x at conductor n has the coordinates sum_j x[r_j] p_j
+    at d.  Rows r_j of the embedding M (column i holds zeta_d^i =
+    zeta_n^(q i) at n) form an invertible square block B, and p_j is row j
+    of (B^-1)^T, sparse.
+    """
+    d = n // q
+    phi_n, phi_d = euler_phi(n), euler_phi(d)
+    # Gauss-Jordan on [M^T | I] picks phi(d) independent rows of M as its
+    # pivot columns and leaves (B^T)^-1 in the right-hand block
+    aug = []
     for i in range(phi_d):
-        dense = [_ZERO] * (i * k + 1)
-        dense[i * k] = _ONE
-        cols.append(_reduce_mod_phi(n, dense))
-    mat = [[cols[j].get(i, _ZERO) for j in range(phi_d)] for i in range(phi_n)]
-    return mat
+        row = [_ZERO] * (phi_n + phi_d)
+        for e, c in _power_row(n, q * i):
+            row[e] = Fraction(c)
+        row[phi_n + i] = _ONE
+        aug.append(row)
+    rows = _row_reduce(aug, phi_n)
+    return tuple((r, tuple((i, c) for i, c in enumerate(row[phi_n:]) if c))
+                 for r, row in zip(rows, aug))
 
 
-def _rewrite_at(n: int, d: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
-    if d == 1:
-        return {0: coeffs[0]} if 0 in coeffs else {}
-    mat = _descent_matrix(n, d)
-    rhs = [coeffs.get(i, _ZERO) for i in range(len(mat))]
-    sol = _solve_fraction([row[:] for row in mat], rhs)
-    return {e: c for e, c in enumerate(sol) if c}
-
-
-def _solve_fraction(mat, rhs):
-    """Gaussian elimination over Fraction; mat may be tall (consistent system)."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [list(mat[i]) + [rhs[i]] for i in range(rows)]
+def _row_reduce(aug: list[list[Fraction]], cols: int) -> list[int]:
+    """Gauss-Jordan elimination over Fraction on the first `cols` columns of
+    `aug`, in place; row i of the result has its pivot in column pivots[i]."""
+    rows = len(aug)
     pivots = []
     r = 0
     for c in range(cols):
@@ -417,13 +427,4 @@ def _solve_fraction(mat, rhs):
         r += 1
         if r == rows:
             break
-    # consistency check for overdetermined systems
-    for i in range(len(pivots), rows):
-        if aug[i][-1]:
-            raise ArithmeticError("inconsistent linear system in conductor descent")
-    if len(pivots) != cols:
-        raise ArithmeticError("underdetermined linear system")
-    out = [_ZERO] * cols
-    for i, c in enumerate(pivots):
-        out[c] = aug[i][-1]
-    return out
+    return pivots

@@ -13,10 +13,11 @@ integers through a discrete Fourier inversion over power classes.
 The GF(l) work is integer numpy products on k x k matrices: one Krylov
 matrix of a random combination of the class matrices, one elimination
 for its minimal polynomial, all eigenvectors in one product, and per
-class one product with the DFT matrix.  Arrays are int64 when
+class one product with the DFT matrix and one with the matrix of the
+powers of zeta_o on the power basis.  Arrays are int64 when
 k * (l-1)^2 (o * (l-1)^2 for a DFT of size o) is below 2^63, and
-Python ints otherwise, with the same code.  Each lifted value is built
-as one Cyc, so it is canonicalized once.
+Python ints otherwise, with the same code.  Each distinct lifted value
+is built as one Cyc, so it is canonicalized once.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from math import isqrt
 import numpy as np
 
 from .chartab import CharTable, ClassData, int_dtype
-from .cyclo import Cyc
-from .numutil import is_prime
+from .cyclo import Cyc, power_matrix
+from .numutil import is_prime, primitive_root
 from .perm import PermGroup
 
 
@@ -193,17 +194,6 @@ def _sqrt_mod(a, l):
     return r
 
 
-def _primitive_root(l):
-    phi = l - 1
-    from .numutil import factorize
-
-    primes = list(factorize(phi))
-    for w in range(2, l):
-        if all(pow(w, phi // r, l) != 1 for r in primes):
-            return w
-    raise AssertionError
-
-
 def _choose_ell(exponent: int, order: int, k: int, skip: int = 0) -> int:
     """The (skip+1)-th prime l = 1 (mod exponent) above max(2*sqrt(order)+2, k^2).
 
@@ -301,8 +291,9 @@ def _lift_characters(g, cd, V, inv_class, l):
 
     The values at class m of order o are the discrete Fourier transform
     over GF(l) of the characters at the powers of its representative: one
-    product with the o x o DFT matrix for all characters, each value then
-    one Cyc of conductor o.
+    product with the o x o DFT matrix for all characters, then one product
+    with the o x phi(o) matrix of zeta_o^j on the power basis, so equal
+    values give equal rows and each distinct row is one Cyc of conductor o.
     """
     k = V.shape[1]
     n = g.order
@@ -325,7 +316,7 @@ def _lift_characters(g, cd, V, inv_class, l):
         return None
     D = np.array(degrees, dtype=dt)
     chis = X * D % l  # chis[m, i] = chi_i(class m) mod l
-    w = _primitive_root(l)
+    w = primitive_root(l)
     cols = []
     memo = {}
     for m, rep in enumerate(cd.reps):
@@ -341,8 +332,12 @@ def _lift_characters(g, cd, V, inv_class, l):
         C = chis[power_class].T @ F % l * pow(o, -1, l) % l
         if (C > D[:, None]).any() or (C.sum(axis=1) != D).any():
             return None
+        # rows of sum_j C[i, j] zeta_o^j on the power basis; each row of C
+        # sums to a degree, so entries stay below max(D) * max|R|
+        R = power_matrix(o)
+        rt = int_dtype(max(degrees) * int(np.abs(R).max()))
         col = []
-        for row in C.tolist():
+        for row in (C.astype(rt) @ R.astype(rt)).tolist():
             key = (o, tuple(row))
             if key not in memo:
                 memo[key] = Cyc(o, {j: Fraction(c) for j, c in enumerate(row) if c})

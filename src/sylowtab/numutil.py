@@ -95,6 +95,16 @@ def multiplicative_order(a: int, n: int) -> int:
     return order
 
 
+@lru_cache(maxsize=None)
+def primitive_root(p: int) -> int:
+    """The least generator of (Z/p)^* for a prime p."""
+    primes = list(factorize(p - 1))
+    for w in range(1, p):
+        if all(pow(w, (p - 1) // r, p) != 1 for r in primes):
+            return w
+    raise ValueError(f"no primitive root mod {p}")
+
+
 def iroot(n: int, k: int) -> tuple[int, bool]:
     """Integer k-th root: (r, exact) with r = floor(n^(1/k))."""
     if n < 0 or k < 1:

@@ -4,7 +4,11 @@ and the deterministic corpus report.
 Table documents are JSON.  Every character value is a list of cyclotomic
 terms {conductor, exponent, numerator, denominator}; no floats anywhere.
 Emission is canonical (minimal conductors, terms sorted by exponent), so
-parse/emit round-trips are byte-identical.
+parse/emit round-trips are byte-identical.  Parsing accepts any terms
+(conductors need not be minimal nor exponents reduced, terms may repeat):
+a value's terms are summed at the lcm of their conductors and the sum is
+canonicalized once.  Within one document, equal lists of parsed terms
+share one value, so each distinct value is built once per parse.
 
 The text importer accepts a small, documented line-based layout for
 bringing in tables produced elsewhere (values may use E(n)^k syntax);
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import CharTable, ClassData, validate
-from .cyclo import Cyc, cyc_root
+from .cyclo import MAX_CONDUCTOR, Cyc, cyc_root
+from .numutil import lcm
 
 SCHEMA_VERSION = 1
 
@@ -41,10 +46,13 @@ def cyc_to_terms(v: Cyc) -> list[dict]:
             for e, c in sorted(v.coeffs.items())]
 
 
-def terms_to_cyc(terms, where: str) -> Cyc:
-    out = Cyc.zero()
+def terms_to_cyc(terms, where: str, memo: dict) -> Cyc:
+    """The value of a list of terms.  Every term is checked first; `memo`
+    maps the parsed terms of values already built from the same document
+    to those values."""
     if not isinstance(terms, list):
         raise ParseError("character value must be a list of terms", where)
+    parsed = []
     for i, term in enumerate(terms):
         here = f"{where}[{i}]"
         if not isinstance(term, dict):
@@ -58,8 +66,30 @@ def terms_to_cyc(terms, where: str) -> Cyc:
             raise ParseError(f"bad term: {exc}", here) from None
         if n < 1 or den == 0:
             raise ParseError("conductor must be >= 1 and denominator nonzero", here)
-        out = out + Fraction(num, den) * cyc_root(n, e)
-    return out
+        if n > MAX_CONDUCTOR:
+            raise ParseError(f"conductor {n} exceeds cap {MAX_CONDUCTOR}", here)
+        parsed.append((n, e, num, den))
+    key = tuple(parsed)
+    if key not in memo:
+        memo[key] = _sum_terms(key, where)
+    return memo[key]
+
+
+def _sum_terms(terms, where: str) -> Cyc:
+    """sum num/den * zeta_n^e as one Cyc at the lcm of the conductors."""
+    m = 1
+    for n, *_ in terms:
+        m = lcm(m, n)
+        if m > MAX_CONDUCTOR:
+            raise ParseError(f"terms need conductor {m}, over the cap {MAX_CONDUCTOR}",
+                             where)
+    coeffs: dict[int, Fraction] = {}
+    for n, e, num, den in terms:
+        k = e % n * (m // n)
+        coeffs[k] = coeffs.get(k, 0) + Fraction(num, den)
+    if m == 1:
+        return Cyc.from_rational(coeffs.get(0, 0))
+    return Cyc(m, coeffs)
 
 
 # -- table documents --------------------------------------------------
@@ -95,12 +125,18 @@ def parse_table(text: str) -> CharTable:
     order = doc["group_order"]
     if not isinstance(order, int) or order < 1:
         raise ParseError("group_order must be a positive integer", "group_order")
+    if not isinstance(doc["classes"], list):
+        raise ParseError("classes must be a list", "classes")
     classes = []
     for i, c in enumerate(doc["classes"]):
         where = f"classes[{i}]"
         if not isinstance(c, dict) or "size" not in c or "order" not in c:
             raise ParseError("class needs size and order", where)
-        classes.append(ClassData(size=int(c["size"]), element_order=int(c["order"]),
+        try:
+            size, element_order = int(c["size"]), int(c["order"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad class: {exc}", where) from None
+        classes.append(ClassData(size=size, element_order=element_order,
                                  name=c.get("name")))
     k = len(classes)
     power_maps = {}
@@ -120,10 +156,11 @@ def parse_table(text: str) -> CharTable:
     chars = []
     if not isinstance(doc["characters"], list) or len(doc["characters"]) != k:
         raise ParseError(f"need exactly {k} characters", "characters")
+    memo: dict = {}
     for i, row in enumerate(doc["characters"]):
         if not isinstance(row, list) or len(row) != k:
             raise ParseError(f"need exactly {k} values", f"characters[{i}]")
-        chars.append([terms_to_cyc(v, f"characters[{i}][{c}]")
+        chars.append([terms_to_cyc(v, f"characters[{i}][{c}]", memo)
                       for c, v in enumerate(row)])
     t = CharTable(order, classes, power_maps, chars, name=doc.get("name"))
     bad = validate(t)
@@ -221,14 +258,17 @@ def parse_cyc_expr(s: str, where: str = "value") -> Cyc:
             return Cyc.from_rational(Fraction(int(tok)))
         if not tok.startswith("E("):
             raise ParseError(f"unexpected token {tok!r}", where)
-        v = cyc_root(int(tok[2:-1]), 1)
+        n = int(tok[2:-1])
+        if not 1 <= n <= MAX_CONDUCTOR:
+            raise ParseError(f"E({n}) needs a conductor in 1..{MAX_CONDUCTOR}", where)
+        e = 1
         if i < len(tokens) and tokens[i] == "^":
             i += 1
             if i >= len(tokens) or not tokens[i].isdigit():
                 raise ParseError("exponent expected after ^", where)
-            v = v ** int(tokens[i])
+            e = int(tokens[i])
             i += 1
-        return v
+        return cyc_root(n, e)
 
     def term() -> Cyc:
         nonlocal i
@@ -237,6 +277,8 @@ def parse_cyc_expr(s: str, where: str = "value") -> Cyc:
             op = tokens[i]
             i += 1
             rhs = factor()
+            if op == "/" and rhs.is_zero():
+                raise ParseError("division by zero", where)
             v = v * rhs if op == "*" else v / rhs
         return v
 
@@ -268,6 +310,7 @@ def parse_text_table(text: str, name: str | None = None) -> CharTable:
     sizes: list[int] | None = None
     orders: list[int] | None = None
     power_maps: dict[int, list[int]] = {}
+    power_map_lines: dict[int, str] = {}
     rows: list[list[Cyc]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -278,19 +321,22 @@ def parse_text_table(text: str, name: str | None = None) -> CharTable:
         try:
             if head == "order":
                 order = int(rest[0])
+                if order < 1:
+                    raise ParseError("order must be a positive integer", where)
             elif head == "sizes":
                 sizes = [int(x) for x in rest]
             elif head == "centralizers":
                 if order is None:
                     raise ParseError("'order' must precede 'centralizers'", where)
                 cents = [int(x) for x in rest]
-                if any(order % c for c in cents):
+                if any(c < 1 or order % c for c in cents):
                     raise ParseError("centralizer order does not divide |G|", where)
                 sizes = [order // c for c in cents]
             elif head == "orders":
                 orders = [int(x) for x in rest]
             elif head == "powermap":
-                power_maps[int(rest[0])] = [int(x) - 1 for x in rest[1:]]
+                power_maps[int(rest[0])] = [int(x) for x in rest[1:]]
+                power_map_lines[int(rest[0])] = where
             elif head == "char":
                 rows.append([parse_cyc_expr(x, where) for x in rest])
             else:
@@ -303,6 +349,11 @@ def parse_text_table(text: str, name: str | None = None) -> CharTable:
         raise ParseError("power maps required")
     if len(orders) != len(sizes):
         raise ParseError("orders and sizes disagree on the class count")
+    k = len(sizes)
+    for p, pm in power_maps.items():
+        if any(not 1 <= x <= k for x in pm):
+            raise ParseError(f"power map entries must be classes 1..{k}", power_map_lines[p])
+        power_maps[p] = [x - 1 for x in pm]
     classes = [ClassData(size=s, element_order=o) for s, o in zip(sizes, orders)]
     t = CharTable(order, classes, power_maps, rows, name=name)
     bad = validate(t)

@@ -4,14 +4,20 @@ from the definitions with Cyc and FFElem arithmetic, one value at a time.
 The library computes the same things as integer matrix products on the
 table's integer encoding (`chartab.int_values`); the tests compare the two,
 on fresh copies of the tables so that no memo from another test is read.
+
+`reference_canonicalize` is the cyclotomic canonicalization by full Galois
+orbits and a Fraction solve per descent, which `cyclo._canonicalize`
+replaces with a support check or one Galois generator per prime.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from sylowtab.chartab import CharTable
-from sylowtab.cyclo import Cyc, cyc_to_rat
+from sylowtab.cyclo import Cyc, cyc_to_rat, cyclotomic_poly
 from sylowtab.gfpm import CycReducer
-from sylowtab.numutil import lcm, prime_divisors
+from sylowtab.numutil import euler_phi, lcm, prime_divisors
 
 
 def fresh(t: CharTable, **changes) -> CharTable:
@@ -120,3 +126,154 @@ def reference_blocks(t: CharTable, p: int) -> tuple[tuple[int, ...], ...]:
         keyed.setdefault(key, []).append(i)
     return tuple(tuple(b) for b in sorted(keyed.values()))
 
+
+
+# -- cyclotomic canonicalization ----------------------------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def reference_value(terms) -> Cyc:
+    """sum num/den * zeta_n^e over (n, e, num, den) terms, canonicalized
+    by `reference_canonicalize` at the lcm of the conductors."""
+    m = 1
+    for n, *_ in terms:
+        m = lcm(m, n)
+    dense = [_ZERO] * m
+    for n, e, num, den in terms:
+        dense[e % n * (m // n)] += Fraction(num, den)
+    n, coeffs = reference_canonicalize(m, reference_reduce_mod_phi(m, dense))
+    return Cyc(n, coeffs, _canonical=True)
+
+
+def reference_reduce_mod_phi(n: int, dense: list[Fraction]) -> dict[int, Fraction]:
+    """Reduce a dense coefficient list mod Phi_n; return sparse dict."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    dense = list(dense)
+    for i in range(len(dense) - 1, deg - 1, -1):
+        c = dense[i]
+        if c:
+            dense[i] = _ZERO
+            for j in range(deg):
+                if phi[j]:
+                    dense[i - deg + j] -= c * phi[j]
+    return {e: c for e, c in enumerate(dense[:deg]) if c}
+
+
+def reference_canonicalize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
+    """Minimal conductor and power-basis coordinates of sum c zeta_n^e
+    (0 <= e < n): descend one prime at a time while the element is fixed
+    by every automorphism of Q(zeta_n) over Q(zeta_d)."""
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    if not coeffs:
+        return 1, {}
+    if max(coeffs) >= euler_phi(n):
+        dense = [_ZERO] * (max(coeffs) + 1)
+        for e, c in coeffs.items():
+            dense[e] = c
+        coeffs = reference_reduce_mod_phi(n, dense)
+        if not coeffs:
+            return 1, {}
+    # Conductor 2 mod 4 is never minimal: zeta_{2m} = -zeta_m^((m+1)/2).
+    while n % 4 == 2:
+        m = n // 2
+        s = (m + 1) // 2
+        out: dict[int, Fraction] = {}
+        for e, c in coeffs.items():
+            k = (e * s) % m
+            out[k] = out.get(k, _ZERO) + (c if e % 2 == 0 else -c)
+        dense = [_ZERO] * (max(out) + 1 if out else 1)
+        for e, c in out.items():
+            dense[e] = c
+        n = m
+        coeffs = reference_reduce_mod_phi(n, dense)
+        if not coeffs:
+            return 1, {}
+    changed = True
+    while changed and n > 1:
+        changed = False
+        for q in prime_divisors(n):
+            d = n // q
+            if d % 4 == 2:
+                d //= 2  # Q(zeta_d) = Q(zeta_{d/2}) for d = 2 mod 4
+            if _fixed_over(n, d, coeffs):
+                coeffs = _rewrite_at(n, d, coeffs)
+                n = d
+                changed = True
+                break
+    return n, coeffs
+
+
+def _fixed_over(n: int, d: int, coeffs: dict[int, Fraction]) -> bool:
+    """Is the element fixed by Gal(Q(zn)/Q(zd)), i.e. does it lie in Q(zd)?"""
+    for j in range(1 + d, n, d):
+        if gcd(j, n) != 1:
+            continue
+        mapped: dict[int, Fraction] = {}
+        for e, c in coeffs.items():
+            k = (e * j) % n
+            mapped[k] = mapped.get(k, _ZERO) + c
+        dense = [_ZERO] * (max(mapped) + 1 if mapped else 1)
+        for e, c in mapped.items():
+            dense[e] = c
+        if reference_reduce_mod_phi(n, dense) != coeffs:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _descent_matrix(n: int, d: int):
+    """Conductor-n coordinates of zeta_d^i, i < phi(d), as columns."""
+    phi_n = euler_phi(n)
+    phi_d = euler_phi(d)
+    k = n // d
+    cols = []
+    for i in range(phi_d):
+        dense = [_ZERO] * (i * k + 1)
+        dense[i * k] = _ONE
+        cols.append(reference_reduce_mod_phi(n, dense))
+    return [[cols[j].get(i, _ZERO) for j in range(phi_d)] for i in range(phi_n)]
+
+
+def _rewrite_at(n: int, d: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
+    if d == 1:
+        return {0: coeffs[0]} if 0 in coeffs else {}
+    mat = _descent_matrix(n, d)
+    rhs = [coeffs.get(i, _ZERO) for i in range(len(mat))]
+    sol = _solve_fraction([row[:] for row in mat], rhs)
+    return {e: c for e, c in enumerate(sol) if c}
+
+
+def _solve_fraction(mat, rhs):
+    """Gaussian elimination over Fraction for a consistent tall system."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    aug = [list(mat[i]) + [rhs[i]] for i in range(rows)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(len(pivots), rows):
+        if aug[i][-1]:
+            raise ArithmeticError("inconsistent linear system in conductor descent")
+    if len(pivots) != cols:
+        raise ArithmeticError("underdetermined linear system")
+    out = [_ZERO] * cols
+    for i, c in enumerate(pivots):
+        out[c] = aug[i][-1]
+    return out

@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +90,33 @@ def test_parse_failures_exit_2(tmp_path):
     bad.write_text("{")
     assert main(["analyze", str(bad), "--p", "2"]) == 2
 
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    ("powermap 2 1 1 3", "powermap 2 1 1 9", "line 4: power map entries must be classes 1..3"),
+    ("char 1 -1 1", "char 1 -1/0 1", "line 7: division by zero"),
+])
+def test_analyze_malformed_text_layout_exits_2(tmp_path, capsys, line, replacement, message):
+    path = tmp_path / "s3.tbl"
+    path.write_text("order 6\ncentralizers 6 2 3\norders 1 2 3\n"
+                    "powermap 2 1 1 3\npowermap 3 1 2 1\n"
+                    "char 1 1 1\nchar 1 -1 1\nchar 2 0 -1\n".replace(line, replacement))
+    assert main(["analyze", str(path), "--all-primes"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_analyze_term_conductor_over_cap_exits_2(s4_table_file, tmp_path, capsys):
+    """The cap is checked before any arithmetic at that conductor (building
+    zeta_2000000 alone took minutes)."""
+    doc = json.loads(Path(s4_table_file).read_text())
+    doc["characters"][1][1] = [{"conductor": 2_000_000, "exponent": 1,
+                                "numerator": 1, "denominator": 1}]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["analyze", str(path), "--p", "2"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "characters[1][1][0]: conductor 2000000 exceeds cap" in capsys.readouterr().err
 
 
 def test_analyze_column_conductor_over_cap_exits_2(tmp_path, capsys):

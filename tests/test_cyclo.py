@@ -1,12 +1,17 @@
 """Exact cyclotomic arithmetic: identities, Galois action, canonical forms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylowtab.cyclo import Cyc, cyc_root, cyc_to_rat, cyclotomic_poly
+from sylowtab import cyclo
+from sylowtab.cyclo import (_canonicalize, Cyc, cyc_root, cyc_to_rat,
+                            cyclotomic_poly, power_matrix)
+from sylowtab.numutil import divisors, euler_phi
+from table_reference import reference_canonicalize, reference_reduce_mod_phi
 
 
 def test_cyclotomic_polys():
@@ -145,3 +150,68 @@ def test_galois_ring_hom(a, b, j):
 @given(cycs())
 def test_abs2_is_times_conjugate(a):
     assert a.abs2() == a * a.galois(-1)
+
+
+# -- canonicalization against the full-orbit reference -----------------
+
+
+def _coefficient(draw):
+    return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+
+
+@st.composite
+def canonicalize_inputs(draw):
+    """(n, coeffs) for n <= 210, exponents in [0, 3n) (so mostly unreduced):
+    random elements, subfield elements lifted to n, and Gauss periods
+    (a constant times the sum of zeta_n^(s u) over a cyclic subgroup of
+    units u), half of them at a conductor 2 mod 4."""
+    n = draw(st.integers(1, 210))
+    if draw(st.booleans()):
+        n = 2 * ((n // 2) | 1)
+    kind = draw(st.sampled_from(["element", "subfield", "period"]))
+    coeffs: dict[int, Fraction] = {}
+    if kind == "period":
+        units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+        h = draw(st.sampled_from(units))
+        s = draw(st.integers(0, n - 1))
+        c = _coefficient(draw)
+        u = 1 % n
+        while True:
+            coeffs[s * u % n] = c
+            u = u * h % n
+            if u == 1 % n:
+                break
+    else:
+        d = draw(st.sampled_from(divisors(n))) if kind == "subfield" else n
+        for _ in range(draw(st.integers(0, 5))):
+            e = draw(st.integers(0, 3 * d - 1)) * (n // d)
+            coeffs[e] = coeffs.get(e, 0) + _coefficient(draw)
+    return n, coeffs
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonicalize_inputs())
+def test_canonicalize_matches_reference(case):
+    n, coeffs = case
+    assert _canonicalize(n, dict(coeffs)) == reference_canonicalize(n, dict(coeffs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9, 12, 15, 16, 21, 30, 45, 60, 105])
+def test_power_matrix_rows_reduce_powers(n):
+    R = power_matrix(n)
+    assert R.shape == (n, euler_phi(n)) and not R.flags.writeable
+    for a in range(n):
+        dense = [Fraction(0)] * a + [Fraction(1)]
+        row = {j: c for j, c in enumerate(R[a].tolist()) if c}
+        assert row == reference_reduce_mod_phi(n, dense)
+
+
+def test_projector_is_built_only_for_a_descent():
+    """A value at its minimal conductor fails every generator test, so no
+    projector is built (at conductor 1155 one costs a 240 x 720 Fraction
+    elimination)."""
+    cyclo._projector.cache_clear()
+    assert (cyc_root(1155, 1) + cyc_root(1155, 2)).n == 1155
+    assert cyclo._projector.cache_info().currsize == 0
+    assert cyc_root(1155, 77) == cyc_root(15, 1)
+    assert cyclo._projector.cache_info().currsize == 2  # at q = 7, then q = 11

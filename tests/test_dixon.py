@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sylowtab import dixon
+from sylowtab import cyclo, dixon
 from sylowtab.chartab import centralizer_order, validate
 from sylowtab.corpus import corpus_entries
 from sylowtab.cyclo import Cyc, cyc_to_rat
@@ -159,11 +159,22 @@ def test_solve_mod_detects_singular_krylov_matrix():
 
 
 def test_dixon_makes_no_cyc_arithmetic(corpus, monkeypatch):
+    """No Cyc sums or products, and one canonicalization per distinct value
+    at each class order: the lift reduces its rows mod Phi_o first."""
     calls = []
     for op in ("__add__", "__mul__"):
         f = getattr(Cyc, op)
         monkeypatch.setattr(Cyc, op, lambda self, other, f=f: calls.append(1) or f(self, other))
+    canonicalized = []
+    canonicalize = cyclo._canonicalize
+    monkeypatch.setattr(cyclo, "_canonicalize",
+                        lambda n, coeffs: canonicalized.append(n) or canonicalize(n, coeffs))
     for name in ("S9", "A5xQ8"):
+        expected = corpus.table(name).chars
+        canonicalized.clear()
         t = dixon_table(corpus.group(name))
-        assert t.chars == corpus.table(name).chars
+        assert t.chars == expected
+        by_order = {(cls.element_order, v) for row in t.chars
+                    for cls, v in zip(t.classes, row)}
+        assert len(canonicalized) <= len(by_order), name
     assert calls == []

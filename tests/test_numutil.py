@@ -2,7 +2,7 @@ from hypothesis import given, strategies as st
 
 from sylowtab.numutil import (divisors, euler_phi, factorize, iroot, is_prime,
                               is_prime_power, multiplicative_order, p_part,
-                              prime_divisors, valuation)
+                              prime_divisors, primitive_root, valuation)
 
 
 def test_factorize_small():
@@ -21,6 +21,13 @@ def test_valuation_and_parts():
 def test_is_prime():
     primes_below_40 = [n for n in range(2, 40) if is_prime(n)]
     assert primes_below_40 == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def test_primitive_root_is_least_generator():
+    for p in (n for n in range(2, 200) if is_prime(n)):
+        g = primitive_root(p)
+        assert multiplicative_order(g, p) == p - 1
+        assert all(multiplicative_order(w, p) < p - 1 for w in range(1, g))
 
 
 def test_multiplicative_order():
