@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
-from .numutil import euler_phi, prime_divisors, primitive_root
+from .numutil import divisors, euler_phi, prime_divisors, primitive_root
 
 #: Guard against runaway conductors (desk-scale cap).
 MAX_CONDUCTOR = 1 << 20
@@ -45,32 +45,40 @@ _ONE = Fraction(1)
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+    """Coefficients (low to high) of the n-th cyclotomic polynomial.
+
+    Phi_n(x) = Phi_r(x^(n/r)) for r = rad(n), and for squarefree n = m*p,
+    p the largest prime, Phi_n(x) = Phi_m(x^p) / Phi_m(x).  The division
+    multiplies by 1/Phi_m(x) = prod_{d | m} (1 - x^d)^(-mu(m/d)) (m > 1)
+    as a power series cut after degree phi(n): the factors with
+    mu(m/d) = -1 first, then division by each 1 - x^d as a running sum
+    with stride d, so every step is exact and O(phi(n)).
+    """
     if n == 1:
         return (-1, 1)
-    # x^n - 1 divided by prod of Phi_d for proper divisors d.
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _polydiv_exact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (monic divisor)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i]
-        if c:
-            k = i - (len(den) - 1)
-            out[k] = c
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+    primes = prime_divisors(n)
+    r = prod(primes)
+    if r < n:
+        out = [0] * (euler_phi(r) * (n // r) + 1)
+        out[:: n // r] = cyclotomic_poly(r)
+        return tuple(out)
+    p = primes[-1]
+    m = n // p
+    if m == 1:
+        return (1,) * p
+    size = euler_phi(n) + 1
+    out = [0] * size
+    out[::p] = cyclotomic_poly(m)[: (size - 1) // p + 1]  # Phi_m(x^p), cut
+    mult, div = [], []  # the divisors d of m with mu(m/d) = -1, +1
+    for d in divisors(m):
+        (mult if len(prime_divisors(m // d)) % 2 else div).append(d)
+    for d in mult:
+        for i in range(size - 1, d - 1, -1):
+            out[i] -= out[i - d]
+    for d in div:
+        for i in range(d, size):
+            out[i] += out[i - d]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,19 @@
 """Exact character tables by the Burnside-Dixon-Schneider method.
 
-The class-multiplication matrices are counted with one right
-multiplication per class, composed from the generators' index
-permutations along the representative's word, so a group of order n
-with g generators needs O(n * g) element lookups in all (see perm.py).
-Their simultaneous eigenvectors are found over GF(l) for a prime
+Class-multiplication matrices are counted only for the classes the split
+needs (Schneider's refinement): the smallest classes first, with more
+added while the Krylov matrix shows characters still unseparated.  Each
+is counted over the elements of its class with one right multiplication
+per class representative, composed from the generators' index
+permutations along the representative's word (see perm.py).  Their
+simultaneous eigenvectors are found over GF(l) for a prime
 l = 1 (mod exp(G)) large enough to make integer lifting unique
 (l > 2*sqrt(|G|)) and to make a random split likely (l >= k^2, k the
 number of classes), and the character values are lifted to cyclotomic
-integers through a discrete Fourier inversion over power classes.
+integers through a discrete Fourier inversion over power classes.  The
+class matrices never counted are never checked, so the lifted table must
+pass row and column orthogonality (`chartab.validate`) before it is
+returned.
 
 The GF(l) work is integer numpy products on k x k matrices: one Krylov
 matrix of a random combination of the class matrices, one elimination
@@ -28,34 +33,41 @@ from math import isqrt
 
 import numpy as np
 
-from .chartab import CharTable, ClassData, int_dtype
+from .chartab import CharTable, ClassData, int_dtype, validate
 from .cyclo import Cyc, power_matrix
 from .numutil import is_prime, primitive_root
 from .perm import PermGroup
 
 
 class DixonFailure(RuntimeError):
-    """Eigenvalue splitting failed for every attempted field."""
+    """Eigenvalue splitting failed for every attempted field, or the lifted
+    table failed validation."""
 
 
-def class_matrices(g: PermGroup) -> np.ndarray:
-    """Class-algebra structure constants as one (k, k, k) int64 array:
-    A[i, j, m] = a_{ijm} where
+def class_matrices(g: PermGroup, rows=None) -> np.ndarray:
+    """Class-algebra structure constants A[i] for the distinct class
+    indices i in rows (all classes by default), as one (len(rows), k, k)
+    int64 array: A[r, j, m] = a_{ijm} for i = rows[r], where
     class_sum(i) * class_sum(j) = sum_m a_{ijm} * class_sum(m).
 
     a_{ijm} is the number of x in C_i with x^-1 * z_m in C_j, z_m the
-    representative of class m.  The indices of x^-1 * z_m for all x are
-    the right multiplication by z_m applied to the inverse indices, which
+    representative of class m, so only the elements of the classes in
+    rows are counted.  The indices of x^-1 * z_m for those x are the
+    right multiplication by z_m applied to their inverse indices, which
     ``right_mults`` composes from the generators' along the word of z_m:
-    O(|G|) gathers per distinct word prefix and no element lookups.
+    one gather per distinct word prefix and no element lookups.
     """
     cd = g.conjugacy_data()
     k = len(cd.reps)
-    row = cd.class_of * k
-    A = np.empty((k, k, k), dtype=np.int64)
-    for rep, y in g.right_mults(g.index_batch(g.inverses()), cd.reps):
+    rows = range(k) if rows is None else rows
+    slot = np.full(k, -1)
+    slot[list(rows)] = np.arange(len(rows))
+    xs = np.flatnonzero(slot[cd.class_of] >= 0)
+    row = slot[cd.class_of[xs]] * k
+    A = np.empty((len(rows), k, k), dtype=np.int64)
+    for rep, y in g.right_mults(g.inverse_indices()[xs], cd.reps):
         A[:, :, cd.class_of[rep]] = np.bincount(row + cd.class_of[y],
-                                                minlength=k * k).reshape(k, k)
+                                                minlength=len(rows) * k).reshape(-1, k)
     return A
 
 
@@ -64,14 +76,16 @@ def class_matrices(g: PermGroup) -> np.ndarray:
 
 def _solve_mod(K, l):
     """Gauss-Jordan elimination of the k x (k+1) matrix K mod the prime l:
-    the solution c of K[:, :k] c = K[:, k], or None when K[:, :k] is
-    singular.  Each step is one outer-product update of the whole matrix."""
+    (c, r) with c the solution of K[:, :k] c = K[:, k], or None when
+    K[:, :k] is singular, and r its first column with no pivot (k if
+    none).  For a Krylov matrix r is its rank.  Each step is one
+    outer-product update of the whole matrix."""
     K = K.copy()
     k = K.shape[0]
     for c in range(k):
         nz = np.flatnonzero(K[c:, c])
         if not nz.size:
-            return None
+            return None, c
         r = c + int(nz[0])
         if r != c:
             K[[c, r]] = K[[r, c]]
@@ -79,7 +93,7 @@ def _solve_mod(K, l):
         col = K[:, c].copy()
         col[c] = 0
         K = (K - col[:, None] * K[c]) % l
-    return K[:, k]
+    return K[:, k], k
 
 
 def _poly_trim(f):
@@ -216,8 +230,27 @@ def _choose_ell(exponent: int, order: int, k: int, skip: int = 0) -> int:
 # -- the main engine --------------------------------------------------
 
 
+#: elements counted for the first split's class matrices: a group this
+#: small counts every class matrix
+SCAN_BUDGET = 2048
+
+
+class _Unseparated(Exception):
+    """The class matrices in use leave the Krylov matrix singular, of rank
+    args[0]: they may not separate the characters."""
+
+
 def dixon_table(g: PermGroup, seed: int = 1, max_attempts: int = 8) -> CharTable:
-    """The exact character table of an enumerated permutation group."""
+    """The exact character table of an enumerated permutation group.
+
+    The split starts from the class matrices of the smallest classes, by
+    size then index, whose sizes sum to at most SCAN_BUDGET.  A Krylov
+    matrix of rank r < k shows only r distinct eigenvalues among k
+    characters; then the next 2 * (k - r) classes are added.  Any split
+    into k distinct eigenvalues gives the true central characters, so the
+    table does not depend on the classes used; a table that fails
+    `validate` raises DixonFailure.
+    """
     cd = g.conjugacy_data()
     k = len(cd.reps)
     n = g.order
@@ -227,24 +260,44 @@ def dixon_table(g: PermGroup, seed: int = 1, max_attempts: int = 8) -> CharTable
     if k == 1:
         return CharTable(1, classes, power_maps, ((Cyc.one(),),), name=g.name)
     e = g.exponent()
-    A = class_matrices(g)
+    by_size = sorted(range(k), key=lambda c: (cd.sizes[c], c))
+    mats = {}  # class index -> its class matrix
+
+    def counted(count):
+        """The class matrices of the `count` smallest classes, by class index."""
+        new = by_size[len(mats):count]
+        mats.update(zip(new, class_matrices(g, new)))
+        return np.stack([mats[c] for c in sorted(mats)])
+
+    A = counted(int(np.searchsorted(np.cumsum(cd.sizes[by_size]), SCAN_BUDGET, "right")))
     inv_class = [int(cd.class_of[g.inv_index(r)]) for r in cd.reps]
     rng = random.Random(seed)
     for ell_round in range(4):
         l = _choose_ell(e, n, k, skip=ell_round)
-        for _ in range(max_attempts):
-            V = _common_eigenvectors(A, k, l, rng)
+        attempts = 0
+        while attempts < max_attempts:
+            try:
+                V = _common_eigenvectors(A, k, l, rng)
+            except _Unseparated as exc:
+                A = counted(len(mats) + 2 * (k - exc.args[0]))
+                continue
+            attempts += 1
             if V is None:
                 continue
-            table = _lift_characters(g, cd, V, inv_class, l)
-            if table is not None:
-                return CharTable(n, classes, power_maps, table, name=g.name)
+            chars = _lift_characters(g, cd, V, inv_class, l)
+            if chars is not None:
+                table = CharTable(n, classes, power_maps, chars, name=g.name)
+                bad = validate(table)
+                if bad:
+                    raise DixonFailure(f"{g.name or 'group'}: lifted table fails: {bad[0]}")
+                return table
     raise DixonFailure(f"no split found for {g.name or 'group'} after all retries")
 
 
 def _common_eigenvectors(A, k, l, rng):
-    """The k common eigenvectors of the class matrices A (k, k, k) mod l,
+    """The k common eigenvectors of the class matrices A (r, k, k) mod l,
     as the columns of a k x k array normalized to 1 in row 0, or None.
+    With r < k class matrices a singular Krylov matrix raises _Unseparated.
 
     M = sum_i c_i A[i] for random c; the Krylov matrix [v0, M v0, ..,
     M^k v0] of a random v0 has rank k exactly when the minimal polynomial
@@ -256,14 +309,16 @@ def _common_eigenvectors(A, k, l, rng):
     """
     dt = int_dtype(k * (l - 1) ** 2)
     A = A.astype(dt) % l
-    coeffs = np.array([rng.randrange(l) for _ in range(k)], dtype=dt)
+    coeffs = np.array([rng.randrange(l) for _ in range(len(A))], dtype=dt)
     M = np.tensordot(coeffs, A, axes=1) % l
     K = np.empty((k, k + 1), dtype=dt)
     K[:, 0] = [rng.randrange(l) for _ in range(k)]
     for j in range(k):
         K[:, j + 1] = M @ K[:, j] % l
-    c = _solve_mod(K, l)
+    c, rank = _solve_mod(K, l)
     if c is None:
+        if len(A) < k:
+            raise _Unseparated(rank)
         return None
     h = [(-int(x)) % l for x in c] + [1]
     roots = _roots_of_split_poly(h, l, rng)

@@ -4,14 +4,16 @@ Elements are enumerated breadth-first over the generators, one level at a
 time, so the ordering is deterministic and the identity is always element
 0.  They are stored as one (order x degree) integer array looked up
 through sorted keys, and each records its BFS parent and generator: a word
-in the generators.  Conjugacy classes (orbits of the generators acting by
-conjugation), right multiplications (``right_mults``, which
-``dixon.class_matrices`` counts with) and the conjugates of one element by
-all (``conjugates``, for Sylow normalizers) are composed from one index
-permutation per generator, so a group of order n costs O(n * gens) index
-lookups, not one scan of the group per class.  Derived subgroups, centers
-and Sylow invariants are exhaustive scans; everything downstream is
-validated against these numbers.
+in the generators.  The search locates every product x * g as it forms it,
+so it records right multiplication by each generator; left multiplication
+by g^-1, conjugation by g, inversion and the conjugates of one element by
+all (``conjugates``, for Sylow normalizers) are composed along the BFS
+tree, one gather per level.  Conjugacy classes are orbits of the
+generators acting by conjugation, and ``right_mults`` (which
+``dixon.class_matrices`` counts with) composes right multiplications along
+words: after enumeration no lookup scans the whole group.  Centers and
+Sylow invariants are exhaustive scans; everything downstream is validated
+against these numbers.
 
 Composition convention: permutations act on the right of points, and
 ``mul(a, b)`` means "apply a, then b", i.e. (a*b)[pt] = b[a[pt]].
@@ -31,9 +33,21 @@ DEFAULT_CAP = 2_000_000
 #: degrees up to this pack into a single int64 key (d^d < 2^63)
 _FAST_DEGREE = 15
 
+#: rows per index_batch call when looking up all pairwise commutators
+_BATCH_ROWS = 1 << 16
+
 
 class CapExceeded(RuntimeError):
     """Raised when a group closure exceeds the configured element cap."""
+
+
+def _merged(old: np.ndarray, at: np.ndarray, kept: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """`old` with `new` inserted at the positions `at` of the result; `kept`
+    marks the other positions."""
+    out = np.empty(len(kept), dtype=old.dtype)
+    out[at] = new
+    out[kept] = old
+    return out
 
 
 def perm_from_cycles(degree: int, cycles) -> list[int]:
@@ -86,13 +100,13 @@ class PermGroup:
         self.cap = cap
         self.name = name
         self._elements: np.ndarray | None = None
-        self._inverses: np.ndarray | None = None
         self._conj: ConjugacyData | None = None
         self._parent: np.ndarray | None = None   # BFS parent index per element
         self._gen: np.ndarray | None = None      # generator reaching it from the parent
         self._level_bounds: list[int] | None = None  # BFS level i is [b[i], b[i+1])
         self._right_gens: np.ndarray | None = None  # row g: x -> x * g
         self._conj_gens: np.ndarray | None = None   # row g: x -> g^-1 x g
+        self._inverse_idx: np.ndarray | None = None  # x -> x^-1
         # keys pack into one int64 up to degree 15, else they are the row bytes
         self._powers = degree ** np.arange(degree, dtype=np.int64) if degree <= _FAST_DEGREE else None
         self._sorted_keys = None
@@ -112,40 +126,80 @@ class PermGroup:
 
         Each BFS level takes every (frontier element, then generator)
         product, generator-major and in frontier order, and keeps the first
-        occurrence of each element not seen before.
+        occurrence of each element not seen before.  Locating the products
+        records x * g for each x and generator g (``_right_gens``) and the
+        element behind each sorted key (``_sort_order``).
         """
         if self._elements is not None:
             return self._elements
         frontier = np.arange(self.degree, dtype=np.int64)[None, :]
-        levels, parents, gens = [frontier], [np.array([-1])], [np.array([-1])]
-        seen = self._keys(frontier)  # sorted keys of the elements so far
-        start = 0                    # index of the first frontier element
+        levels, parents, gens, rights = [frontier], [np.array([-1])], [np.array([-1])], []
+        seen = self._keys(frontier)              # sorted keys of the elements so far
+        seen_idx = np.zeros(1, dtype=np.int64)   # BFS index of each sorted key
+        start = 0                                # index of the first frontier element
         while True:
+            width = len(frontier)
             prods = np.concatenate([g[frontier] for g in self.generators])
-            uniq, first = np.unique(self._keys(prods), return_index=True)
+            keys = self._keys(prods)
+            perm = np.argsort(keys)
+            keys = keys[perm]
+            head = np.ones(len(keys), dtype=bool)  # first of each run of equal keys
+            head[1:] = keys[1:] != keys[:-1]
+            runs = np.flatnonzero(head)
+            uniq, first = keys[runs], np.minimum.reduceat(perm, runs)
+            where = np.empty(len(keys), dtype=np.intp)  # product -> its position in uniq
+            where[perm] = np.cumsum(head) - 1
             pos = np.searchsorted(seen, uniq)
-            new = seen[np.minimum(pos, len(seen) - 1)] != uniq
-            count = len(seen) + int(new.sum())
+            near = np.minimum(pos, len(seen) - 1)
+            fresh = np.flatnonzero(seen[near] != uniq)
+            count = len(seen) + len(fresh)
             if count > self.cap:
                 raise CapExceeded(f"group exceeds element cap {self.cap}")
-            if count == len(seen):
+            # new elements are numbered in order of their first product
+            order = np.argsort(first[fresh])
+            uniq_idx = seen_idx[near]
+            uniq_idx[fresh[order]] = np.arange(len(seen), count)
+            rights.append(uniq_idx[where].reshape(len(self.generators), width))
+            if not len(fresh):
                 break
-            seen = np.insert(seen, pos[new], uniq[new])
-            first = np.sort(first[new])
-            parents.append(start + first % len(frontier))
-            gens.append(first // len(frontier))
-            start += len(frontier)
+            # merge the new keys into the sorted ones, carrying their indices
+            at = pos[fresh] + np.arange(len(fresh))
+            kept = np.ones(count, dtype=bool)
+            kept[at] = False
+            seen = _merged(seen, at, kept, uniq[fresh])
+            seen_idx = _merged(seen_idx, at, kept, uniq_idx[fresh])
+            first = first[fresh[order]]
+            parents.append(start + first % width)
+            gens.append(first // width)
+            start += width
             frontier = prods[first]
             levels.append(frontier)
         E = np.concatenate(levels)
         self._elements = E
-        self._inverses = np.argsort(E, axis=1)
         self._parent = np.concatenate(parents)
         self._gen = np.concatenate(gens)
         self._level_bounds = np.cumsum([0] + [len(level) for level in levels]).tolist()
-        self._sort_order = np.argsort(self._keys(E))
+        self._right_gens = np.concatenate(rights, axis=1)
+        self._sort_order = seen_idx
         self._sorted_keys = seen
         return E
+
+    def _along_tree(self, table: np.ndarray, start) -> np.ndarray:
+        """out[..., x] = table[h, out[..., p]] for every x = p * h (p its BFS
+        parent, h its generator), from out[..., 0] = start at the identity:
+        one gather per BFS level."""
+        start = np.asarray(start)
+        out = np.empty(start.shape + (self.order,), dtype=np.int64)
+        out[..., 0] = start
+        bounds = self._level_bounds
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            out[..., lo:hi] = table[self._gen[lo:hi], out[..., self._parent[lo:hi]]]
+        return out
+
+    def inverse_indices(self) -> np.ndarray:
+        """Index of x^-1 for every element x (built with the classes)."""
+        self.conjugacy_data()
+        return self._inverse_idx
 
     def word(self, i: int) -> list[int]:
         """Generator positions g_1, ..., g_r with element i = g_1 * ... * g_r."""
@@ -161,8 +215,8 @@ class PermGroup:
         return len(self.elements())
 
     def inverses(self) -> np.ndarray:
-        self.elements()
-        return self._inverses
+        """The inverse permutation rows, (order x degree), on each call."""
+        return np.argsort(self.elements(), axis=1)
 
     # -- element index arithmetic -------------------------------------
 
@@ -189,9 +243,7 @@ class PermGroup:
         of their words, so each reuses the gathers of the prefix it shares
         with the one before: one gather per distinct prefix, no key lookups.
         """
-        if self._right_gens is None:
-            E = self.elements()
-            self._right_gens = np.stack([self.index_batch(g[E]) for g in self.generators])
+        self.elements()
         chain, prev = [np.asarray(idx)], []  # chain[t]: idx times the first t letters
         for word, i in sorted((self.word(i), i) for i in targets):
             shared = next((t for t, (a, b) in enumerate(zip(word, prev)) if a != b),
@@ -211,14 +263,12 @@ class PermGroup:
         return self.index_of(E[j][E[i]])
 
     def inv_index(self, i: int) -> int:
-        return self.index_of(self.inverses()[i])
+        return int(self.inverse_indices()[i])
 
     def pow_index(self, i: int, k: int) -> int:
+        """Index of element i to the power k >= 0."""
         E = self.elements()
-        d = self.degree
-        if k < 0:
-            return self.pow_index(self.inv_index(i), -k)
-        acc = np.arange(d, dtype=np.int64)
+        acc = np.arange(self.degree, dtype=np.int64)
         base = E[i]
         while k:
             if k & 1:
@@ -268,29 +318,34 @@ class PermGroup:
         """
         if self._conj is not None:
             return self._conj
-        E = self.elements()
-        n = len(E)
-        self._conj_gens = np.stack([self.index_batch(g[E[:, np.argsort(g)]])
-                                    for g in self.generators])
-        steps = []  # x -> g^-1 x g for each generator g, and its inverse
-        for sigma in self._conj_gens:
-            inverse = np.empty_like(sigma)
-            inverse[sigma] = np.arange(n)
-            steps += [sigma, inverse]
-        # every element's label is an orbit-mate with no larger index; take
-        # the least label of the neighbours, then the label's own label,
-        # until nothing changes: each orbit is then labelled by its minimum
-        label = np.arange(n)
+        n = len(self.elements())
+        # along the tree, left multiplication by g^-1 is g^-1 * (p * h) =
+        # (g^-1 * p) * h; conjugation by g follows it with x -> x * g, and
+        # inversion is (p * h)^-1 = h^-1 * p^-1
+        ginv = self.index_batch(np.stack([np.argsort(g) for g in self.generators]))
+        left = self._along_tree(self._right_gens, ginv)
+        self._conj_gens = np.take_along_axis(self._right_gens, left, axis=1)
+        self._inverse_idx = self._along_tree(left, 0)
+        # grow each orbit from its least element, taking those in increasing
+        # order; conjugation by the generators alone reaches the whole orbit
+        unseen = np.ones(n, dtype=bool)
+        class_of = np.empty(n, dtype=np.int64)
+        slot = np.empty(n, dtype=np.int64)  # scratch: drops repeats from a level
+        reps, rep = [], 0
         while True:
-            new = label
-            for step in steps:
-                new = np.minimum(new, label[step])
-            new = new[new]
-            if np.array_equal(new, label):
+            frontier = np.array([rep])
+            unseen[rep] = False
+            while len(frontier):
+                class_of[frontier] = len(reps)
+                reached = self._conj_gens[:, frontier].ravel()
+                reached = reached[unseen[reached]]
+                unseen[reached] = False
+                slot[reached] = at = np.arange(len(reached))
+                frontier = reached[slot[reached] == at]
+            reps.append(rep)
+            rep += int(unseen[rep:].argmax())
+            if not unseen[rep]:
                 break
-            label = new
-        reps, class_of = np.unique(label, return_inverse=True)
-        reps = reps.tolist()
         orders = [self.element_order(r) for r in reps]
         power_maps = {}
         for p in prime_divisors(n):
@@ -306,12 +361,7 @@ class PermGroup:
         gather from the generators' conjugation permutations.
         """
         self.conjugacy_data()
-        out = np.empty(self.order, dtype=np.int64)
-        out[0] = q
-        bounds = self._level_bounds
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            out[lo:hi] = self._conj_gens[self._gen[lo:hi], out[self._parent[lo:hi]]]
-        return out
+        return self._along_tree(self._conj_gens, q)
 
     def exponent(self) -> int:
         out = 1
@@ -323,12 +373,6 @@ class PermGroup:
         cd = self.conjugacy_data()
         return self.order // int(cd.sizes[c])
 
-    def centralizer_size(self, i: int) -> int:
-        """|C_G(x)| for element index i, by direct scan."""
-        E = self.elements()
-        x = E[i]
-        return int(np.count_nonzero((E[:, x] == x[E]).all(axis=1)))
-
     def center_indices(self) -> np.ndarray:
         E = self.elements()
         mask = np.ones(len(E), dtype=bool)
@@ -336,47 +380,20 @@ class PermGroup:
             mask &= (E[:, g] == g[E]).all(axis=1)
         return np.flatnonzero(mask)
 
-    def commutator_indices(self, idx_set=None) -> list[int]:
-        """Indices of all commutators [x, y] with x, y ranging over idx_set."""
+    def commutator_indices(self) -> list[int]:
+        """Sorted indices of all commutators [x, y] = x^-1 y^-1 x y, looked
+        up in batches of at most max(_BATCH_ROWS, order) pairs."""
         E = self.elements()
         Einv = self.inverses()
-        idx = np.arange(len(E)) if idx_set is None else np.asarray(sorted(idx_set))
+        n = len(E)
+        step = max(1, _BATCH_ROWS // n)
         out = set()
-        for j in idx.tolist():
-            y, yinv = E[j], Einv[j]
-            # [x,y] = x^-1 y^-1 x y for all x in one shot
-            t = np.take_along_axis(E[idx], yinv[Einv[idx]], axis=1)
-            comm = y[t]
-            out.update(self.index_batch(comm).tolist())
+        for lo in range(0, n, step):
+            ys = np.arange(lo, min(lo + step, n))[:, None, None]
+            # row (y, x) maps pt to y(x(y^-1(x^-1(pt))))
+            t = E[np.arange(n)[None, :, None], Einv[ys, Einv[None]]]
+            out.update(self.index_batch(E[ys, t].reshape(-1, self.degree)).tolist())
         return sorted(out)
-
-    def derived_indices(self) -> np.ndarray:
-        """G' = normal closure of the generator commutators (element indices)."""
-        gens = []
-        gi = [self.index_of(g) for g in self.generators]
-        for i in gi:
-            for j in gi:
-                c = self.mul_index(self.mul_index(self.inv_index(i), self.inv_index(j)),
-                                   self.mul_index(i, j))
-                if c:
-                    gens.append(c)
-        gens = sorted(set(gens))
-        current = self.closure_indices(gens) if gens else np.array([0])
-        E, Einv = self.elements(), self.inverses()
-        while True:
-            cur_set = set(current.tolist())
-            extra = []
-            for j in gi:
-                conj = E[j][E[current][:, Einv[j]]]  # g^-1 x g rowwise
-                for idx in self.index_batch(conj).tolist():
-                    if idx not in cur_set:
-                        extra.append(idx)
-            if not extra:
-                return current
-            # keep the generating list short: one new conjugate is enough to
-            # grow the closure, and re-closing is O(|H| * #gens)
-            gens.append(extra[0])
-            current = self.closure_indices(gens)
 
     # -- Sylow machinery ----------------------------------------------
 
@@ -450,85 +467,3 @@ def subgroup_invariants(P: PermGroup, p: int) -> GroundTruth:
                 break
     return GroundTruth(p=p, sylow_order=n, commutator_index=commutator_index,
                        center_index=center_index, maximal_class=maximal, abelian=abelian)
-
-
-def index_p_normal_subgroups(P: PermGroup, p: int) -> list[np.ndarray]:
-    """All normal subgroups of index p in a p-group (element index arrays).
-
-    These are exactly the kernels of surjections onto C_p, i.e. the
-    hyperplane preimages of P modulo its Frattini subgroup P'P^p.
-    """
-    n = P.order
-    if n % p:
-        raise ValueError("not a p-group for this prime")
-    if n == 1:
-        return []
-    frat_gens = set(P.commutator_indices())
-    for i in range(n):
-        frat_gens.add(P.pow_index(i, p))
-    frat_gens.discard(0)
-    M = P.closure_indices(sorted(frat_gens)) if frat_gens else np.array([0])
-    # label cosets of M by their smallest member index
-    E = P.elements()
-    coset_of = {}
-    for i in range(n):
-        if i in coset_of:
-            continue
-        # coset x*M: apply x, then each m in M
-        block = P.index_batch(np.stack([E[m][E[i]] for m in M.tolist()]))
-        label = int(block.min())
-        for b in block.tolist():
-            coset_of[b] = label
-    q = len(set(coset_of.values()))
-    r = 0
-    while p**r < q:
-        r += 1
-    assert p**r == q
-    # find a basis of the elementary abelian quotient and coordinates
-    coords = {coset_of[0]: (0,) * r}
-    basis = []
-    for i in range(n):
-        lab = coset_of[i]
-        if lab in coords:
-            continue
-        # tentatively extend the basis by element i
-        k = len(basis)
-        new_coords = dict(coords)
-        for old_lab, vec in coords.items():
-            rep = next(j for j in range(n) if coset_of[j] == old_lab)
-            acc = rep
-            for e in range(1, p):
-                acc = P.mul_index(acc, i)
-                new_vec = list(vec)
-                new_vec[k] = e
-                new_coords[coset_of[acc]] = tuple(new_vec)
-        if len(new_coords) > len(coords):
-            basis.append(i)
-            coords = new_coords
-        if len(coords) == q:
-            break
-    assert len(basis) == r and len(coords) == q
-    elem_vec = np.array([coords[coset_of[i]] for i in range(n)])
-    out = []
-    seen_funcs = set()
-    for func in _nonzero_functionals(p, r):
-        key = tuple(func)
-        if key in seen_funcs:
-            continue
-        for s in range(2, p):
-            seen_funcs.add(tuple((s * f) % p for f in func))
-        seen_funcs.add(key)
-        members = np.flatnonzero((elem_vec @ np.array(func)) % p == 0)
-        out.append(members)
-    return out
-
-
-def _nonzero_functionals(p: int, r: int):
-    vec = [0] * r
-    total = p**r
-    for k in range(1, total):
-        m = k
-        for i in range(r):
-            vec[i] = m % p
-            m //= p
-        yield tuple(vec)

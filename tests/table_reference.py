@@ -8,6 +8,9 @@ on fresh copies of the tables so that no memo from another test is read.
 `reference_canonicalize` is the cyclotomic canonicalization by full Galois
 orbits and a Fraction solve per descent, which `cyclo._canonicalize`
 replaces with a support check or one Galois generator per prime.
+`reference_cyclotomic_poly` divides x^n - 1 by every Phi_d, d | n, d < n,
+which `cyclo.cyclotomic_poly` replaces with Phi_n(x) = Phi_rad(n)(x^(n/rad n))
+and Phi_mp(x) = Phi_m(x^p) / Phi_m(x).
 """
 
 from fractions import Fraction
@@ -145,6 +148,35 @@ def reference_value(terms) -> Cyc:
         dense[e % n * (m // n)] += Fraction(num, den)
     n, coeffs = reference_canonicalize(m, reference_reduce_mod_phi(m, dense))
     return Cyc(n, coeffs, _canonical=True)
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Phi_n by long division of x^n - 1 by Phi_d for every proper divisor d."""
+    if n == 1:
+        return (-1, 1)
+    num = [0] * (n + 1)
+    num[0], num[n] = -1, 1
+    for d in range(1, n):
+        if n % d == 0:
+            num = _polydiv_exact(num, reference_cyclotomic_poly(d))
+    return tuple(num)
+
+
+def _polydiv_exact(num: list[int], den) -> list[int]:
+    """Exact division of integer polynomials (monic divisor)."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(num) - 1, len(den) - 2, -1):
+        c = num[i]
+        if c:
+            k = i - (len(den) - 1)
+            out[k] = c
+            for j, dj in enumerate(den):
+                num[k + j] -= c * dj
+    if any(num[: len(den) - 1]):
+        raise ArithmeticError("non-exact polynomial division")
+    return out
 
 
 def reference_reduce_mod_phi(n: int, dense: list[Fraction]) -> dict[int, Fraction]:

@@ -18,10 +18,10 @@ from sylowtab.detectors import (SOCLE_DATA_MISSING, _almost_simple_commutator,
                                 detect_center_index_p2,
                                 detect_commutator_index_p2)
 from sylowtab.numutil import valuation
-from sylowtab.perm import index_p_normal_subgroups
 from sylowtab.serialize import parse_text_table
 from sylowtab.simplerec import (SimpleId, recognize_minimal_normal,
                                 simple_order_candidates)
+from perm_reference import centralizer_size, derived_indices, index_p_normal_subgroups
 
 
 def _report(num, ok, desc):
@@ -32,20 +32,35 @@ def _report(num, ok, desc):
 # -- group-level helpers for the lemma suites -------------------------
 
 
-def _conj(P, x, n):
-    return P.mul_index(P.mul_index(P.inv_index(x), n), x)
+class _Table:
+    """The multiplication table and inverse map of a small group P, from one
+    index_batch of all |P|^2 products: mul[i][j] is the index of (element
+    i, then element j) and inv[i] that of the inverse of element i."""
+
+    def __init__(self, P):
+        E = P.elements()
+        n = len(E)
+        prods = E[np.arange(n)[None, :, None], E[:, None, :]]  # [i, j] = E[j][E[i]]
+        mul = P.index_batch(prods.reshape(n * n, -1)).reshape(n, n)
+        self.mul = mul.tolist()
+        self.inv = np.nonzero(mul == 0)[1].tolist()
 
 
-def _commutator(P, x, y):
+def _conj(T, x, n):
+    return T.mul[T.mul[T.inv[x]][n]][x]
+
+
+def _commutator(T, x, y):
     # [x, y] = x^-1 y^-1 x y
-    return P.mul_index(P.mul_index(P.mul_index(P.inv_index(x), P.inv_index(y)), x), y)
+    mul = T.mul
+    return mul[mul[mul[T.inv[x]][T.inv[y]]][x]][y]
 
 
-def _nilpotency_class(P):
+def _nilpotency_class(P, T):
     gamma = set(range(P.order))
     c = 0
     while len(gamma) > 1:
-        comms = {_commutator(P, x, y) for x in range(P.order) for y in gamma}
+        comms = {_commutator(T, x, y) for x in range(P.order) for y in gamma}
         gamma = set(int(i) for i in P.closure_indices(sorted(comms)))
         c += 1
     return c
@@ -127,15 +142,16 @@ def test_criterion_4_lemma_suites(corpus):
         g = corpus.group(name)
         n = P.order
         v = valuation(n, p)
-        derived = set(int(i) for i in P.derived_indices())
+        T = _Table(P)
+        derived = set(int(i) for i in derived_indices(P))
         center = set(int(i) for i in P.center_indices())
-        cents = [P.centralizer_size(i) for i in range(n)]
+        cents = [centralizer_size(P, i) for i in range(n)]
         # Lemma 2.1(i): G' meet Z(G) meet P lies in P'
         p_in_g = set(int(i) for i in g.index_batch(P.elements()))
         pprime_in_g = set(int(g.index_of(P.elements()[i])) for i in derived)
         if name not in g_cache:
             g_cache[name] = (set(int(i) for i in g.center_indices()),
-                             set(int(i) for i in g.derived_indices()))
+                             set(int(i) for i in derived_indices(g)))
         gz, gd = g_cache[name]
         if not (gd & gz & p_in_g) <= pprime_in_g:
             bad.append((name, p, "2.1(i)"))
@@ -144,37 +160,37 @@ def test_criterion_4_lemma_suites(corpus):
             bad.append((name, p, "2.1(ii)"))
         # Lemma 2.1(iii): maximal class iff some |C_P(x)| = p^2
         if v >= 3 and len(center) < n:
-            maximal = _nilpotency_class(P) == v - 1
+            maximal = _nilpotency_class(P, T) == v - 1
             if maximal != any(c == p * p for c in cents):
                 bad.append((name, p, "2.1(iii)"))
             if maximal != corpus.truth(name, p).maximal_class:
                 bad.append((name, p, "maximal-class flag"))
         # Corollary 2.2 at |P| = p^4
         if v == 4:
-            maximal = _nilpotency_class(P) == 3
+            maximal = _nilpotency_class(P, T) == 3
             if (n // len(derived) == p * p) != maximal:
                 bad.append((name, p, "2.2 commutator"))
             if (len(derived) == p) != (n // len(center) == p * p):
                 bad.append((name, p, "2.2 center"))
         # Lemma 2.3 on every index-p normal subgroup
-        if v >= 2 and not _lemma_2_3_holds(P, p, n // len(derived) == p * p):
+        if v >= 2 and not _lemma_2_3_holds(P, T, p, n // len(derived) == p * p):
             bad.append((name, p, "2.3"))
     _report(4, not bad, f"commutator/centralizer lemma suites on every corpus "
                         f"Sylow: {len(bad)} violations {bad[:4]}")
 
 
-def _lemma_2_3_holds(P, p, comm_is_p2):
+def _lemma_2_3_holds(P, T, p, comm_is_p2):
     for N in index_p_normal_subgroups(P, p):
         members = [int(i) for i in N]
         mset = set(members)
-        comms = {_commutator(P, x, y) for x in members for y in members}
+        comms = {_commutator(T, x, y) for x in members for y in members}
         nprime = set(int(i) for i in P.closure_indices(sorted(comms)))
-        coset = {n: min(P.mul_index(n, m) for m in nprime) for n in members}
+        coset = {n: min(T.mul[n][m] for m in nprime) for n in members}
         reps = sorted(set(coset.values()))
         outside = [x for x in range(P.order) if x not in mset]
         counts = set()
         for x in outside:
-            fixed = sum(1 for r in reps if coset[_conj(P, x, r)] == r)
+            fixed = sum(1 for r in reps if coset[_conj(T, x, r)] == r)
             counts.add(fixed)
         if len(counts) != 1:
             return False  # must not depend on the choice of x

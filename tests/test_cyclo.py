@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: identities, Galois action, canonical forms."""
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +12,8 @@ from sylowtab import cyclo
 from sylowtab.cyclo import (_canonicalize, Cyc, cyc_root, cyc_to_rat,
                             cyclotomic_poly, power_matrix)
 from sylowtab.numutil import divisors, euler_phi
-from table_reference import reference_canonicalize, reference_reduce_mod_phi
+from table_reference import (reference_canonicalize, reference_cyclotomic_poly,
+                             reference_reduce_mod_phi)
 
 
 def test_cyclotomic_polys():
@@ -21,6 +23,20 @@ def test_cyclotomic_polys():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polys_match_long_division():
+    for n in range(1, 401):
+        assert cyclotomic_poly(n) == reference_cyclotomic_poly(n), n
+
+
+def test_cyclotomic_poly_at_a_large_conductor_is_fast():
+    # 3 * 5 * 7 * 11 * 13: long division by every Phi_d took seconds
+    start = time.perf_counter()
+    phi = cyclotomic_poly.__wrapped__(15015)
+    assert time.perf_counter() - start < 1.0
+    assert len(phi) == euler_phi(15015) + 1
+    assert phi == phi[::-1] and sum(phi) == 1  # palindromic, Phi_n(1) = 1
 
 
 def test_root_identities():

@@ -152,10 +152,10 @@ def test_python_int_path_above_int64(corpus, name, start, split_dtype):
 
 def test_solve_mod_detects_singular_krylov_matrix():
     K = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
-    assert dixon._solve_mod(K, 7) is None
+    assert dixon._solve_mod(K, 7) == (None, 1)  # column 1 = 2 * column 0
     K = np.array([[1, 2, 3], [3, 4, 5]], dtype=np.int64)
-    c = dixon._solve_mod(K, 7)
-    assert ((K[:, :2] @ c - K[:, 2]) % 7 == 0).all()
+    c, rank = dixon._solve_mod(K, 7)
+    assert rank == 2 and ((K[:, :2] @ c - K[:, 2]) % 7 == 0).all()
 
 
 def test_dixon_makes_no_cyc_arithmetic(corpus, monkeypatch):
@@ -178,3 +178,66 @@ def test_dixon_makes_no_cyc_arithmetic(corpus, monkeypatch):
                     for cls, v in zip(t.classes, row)}
         assert len(canonicalized) <= len(by_order), name
     assert calls == []
+
+
+# -- class matrices for the separating classes only ------------------------
+
+
+def test_large_group_counts_under_one_percent_of_its_elements(corpus, monkeypatch):
+    g = corpus.group("S9")
+    scanned = []
+    right_mults = g.right_mults
+
+    def counting(idx, targets):
+        scanned.append(len(idx))
+        return right_mults(idx, targets)
+
+    monkeypatch.setattr(g, "right_mults", counting)
+    assert dixon_table(g).chars == corpus.table("S9").chars
+    assert 0 < sum(scanned) <= g.order // 100
+
+
+def test_unseparated_start_adds_classes_and_counts_each_once(corpus, monkeypatch):
+    # A8's smallest classes within the budget leave characters unseparated
+    g = corpus.group("A8")
+    calls = []
+    counted = dixon.class_matrices
+
+    def recording(g, rows=None):
+        calls.append(list(rows))
+        return counted(g, rows)
+
+    monkeypatch.setattr(dixon, "class_matrices", recording)
+    assert dixon_table(g).chars == corpus.table("A8").chars
+    rows = [c for call in calls for c in call]
+    k = len(g.conjugacy_data().reps)
+    assert len(calls) > 1 and len(rows) == len(set(rows)) <= k
+
+
+def test_small_group_counts_every_class_at_once(corpus, monkeypatch):
+    g = corpus.group("A5xQ8")
+    calls = []
+    counted = dixon.class_matrices
+    monkeypatch.setattr(dixon, "class_matrices",
+                        lambda g, rows=None: calls.append(list(rows)) or counted(g, rows))
+    dixon_table(g)
+    k = len(g.conjugacy_data().reps)
+    assert g.order <= dixon.SCAN_BUDGET and [sorted(c) for c in calls] == [list(range(k))]
+
+
+@pytest.mark.parametrize("name", ["S4", "M11"])
+def test_lifted_table_with_two_values_swapped_is_rejected(corpus, monkeypatch, name):
+    g = corpus.group(name)
+    sizes = [cls.size for cls in corpus.table(name).classes]
+    lift = dixon._lift_characters
+
+    def swapped(*args):
+        rows = [list(r) for r in lift(*args)]
+        i, a, b = next((i, a, b) for i, r in enumerate(rows) for a in range(1, len(r))
+                       for b in range(a + 1, len(r)) if r[a] != r[b] and sizes[a] != sizes[b])
+        rows[i][a], rows[i][b] = rows[i][b], rows[i][a]
+        return tuple(tuple(r) for r in rows)
+
+    monkeypatch.setattr(dixon, "_lift_characters", swapped)
+    with pytest.raises(dixon.DixonFailure):
+        dixon_table(g)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sylowtab.corpus import corpus_entries
-from sylowtab.dixon import class_matrices
-from sylowtab.perm import (CapExceeded, PermGroup, index_p_normal_subgroups,
-                           perm_from_cycles, subgroup_invariants)
+from sylowtab.dixon import class_matrices, dixon_table
+from sylowtab.perm import CapExceeded, PermGroup, perm_from_cycles, subgroup_invariants
+from perm_reference import derived_indices, index_p_normal_subgroups
 
 # frozen brute-force ground truth: (sylow, |P:P'|, |P:Z|, maximal_class, abelian)
 EXPECTED_TRUTH = {
@@ -103,7 +103,7 @@ def test_index_p_normal_subgroups_q8(corpus):
 
 def test_derived_and_center_of_sylows(corpus):
     P = corpus.group("C3wrC3")
-    assert len(P.derived_indices()) == 9
+    assert len(derived_indices(P)) == 9
     assert len(P.center_indices()) == 3
 
 
@@ -201,3 +201,49 @@ def test_class_structure_lookups_scale_with_generators(corpus):
     class_matrices(g)  # computes conjugacy_data() first
     assert len(g.conjugacy_data().reps) == 15
     assert sum(rows) <= 8 * g.order
+
+
+# -- index maps recorded by the BFS and the class matrices they feed -------
+
+MAP_GROUPS = SMALL + ["S9"]
+
+
+@pytest.mark.parametrize("name", MAP_GROUPS)
+def test_bfs_index_maps_match_key_lookups(corpus, name):
+    g = corpus.group(name)
+    E = g.elements()
+    g.conjugacy_data()
+    assert g.index_batch(E).tolist() == list(range(g.order))  # BFS index per sorted key
+    for gen, right, conj in zip(g.generators, g._right_gens, g._conj_gens):
+        assert right.tolist() == g.index_batch(gen[E]).tolist()  # x -> x * g
+        assert conj.tolist() == g.index_batch(gen[E[:, np.argsort(gen)]]).tolist()  # g^-1 x g
+    assert g.inverse_indices().tolist() == g.index_batch(np.argsort(E, axis=1)).tolist()
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_class_matrix_rows_are_rows_of_the_full_array(corpus, name):
+    g = corpus.group(name)
+    A = class_matrices(g)
+    k = len(A)
+    rng = np.random.default_rng(k)
+    for rows in ([0], [k - 1, 0], rng.permutation(k)[: max(1, k // 2)].tolist()):
+        sub = class_matrices(g, rows)
+        assert sub.shape == (len(rows), k, k) and (sub == A[rows]).all()
+
+
+def test_class_structure_sends_no_group_sized_batch(corpus):
+    e = corpus.entry("S7")
+    g = PermGroup(e.degree, e.generators)
+    g.elements()
+    sizes = []
+    lookup = g.index_batch
+
+    def counted(batch):
+        sizes.append(len(batch))
+        return lookup(batch)
+
+    g.index_batch = counted
+    g.conjugacy_data()
+    t = dixon_table(g)
+    assert t.chars == corpus.table("S7").chars
+    assert sizes and max(sizes) < g.order
