@@ -145,20 +145,13 @@ def _poly_powmod(base, e, f, l):
 
 
 def _roots_of_split_poly(f, l, rng):
-    """All roots of f, or None if f does not split into distinct linear factors."""
+    """All roots of the monic f, or None if f does not split into distinct
+    linear factors over GF(l): exactly when x^l = x mod f, since x^l - x is
+    the product of all x - a."""
     f = _poly_trim(list(f))
-    roots = []
-    if f and f[0] == 0:
-        roots.append(0)
-        f = _poly_divmod(f, [0, 1], l)[0]
-    deriv = _poly_trim([(i * c) % l for i, c in enumerate(f)][1:])
-    if len(_poly_gcd(f, deriv, l)) != 1:
+    if _poly_powmod([0, 1], l, f, l) != _poly_divmod([0, 1], f, l)[1]:
         return None
-    xl = _poly_powmod([0, 1], l, f, l)
-    width = max(len(xl), 2)
-    diff = [((xl[i] if i < len(xl) else 0) - (1 if i == 1 else 0)) % l for i in range(width)]
-    if _poly_trim(diff):
-        return None  # x^l != x mod f: some factor is nonlinear
+    roots = []
 
     def split(poly):
         if len(poly) <= 1:
@@ -345,10 +338,12 @@ def _lift_characters(g, cd, V, inv_class, l):
     degree, a coefficient bound or a coefficient sum rules the split out.
 
     The values at class m of order o are the discrete Fourier transform
-    over GF(l) of the characters at the powers of its representative: one
-    product with the o x o DFT matrix for all characters, then one product
-    with the o x phi(o) matrix of zeta_o^j on the power basis, so equal
-    values give equal rows and each distinct row is one Cyc of conductor o.
+    over GF(l) of the characters at the powers of its representative (the
+    classes ``cd.power_classes[m]``, found by the oracle in one lookup for
+    all classes): one product with the o x o DFT matrix for all
+    characters, then one product with the o x phi(o) matrix of zeta_o^j on
+    the power basis, so equal values give equal rows and each distinct row
+    is one Cyc of conductor o.
     """
     k = V.shape[1]
     n = g.order
@@ -374,17 +369,11 @@ def _lift_characters(g, cd, V, inv_class, l):
     w = primitive_root(l)
     cols = []
     memo = {}
-    for m, rep in enumerate(cd.reps):
-        o = orders[m]
-        power_class = [0]  # classes of rep^s for s < o
-        idx = rep
-        for _ in range(1, o):
-            power_class.append(int(cd.class_of[idx]))
-            idx = g.mul_index(idx, rep)
+    for m, o in enumerate(orders):
         zinv = pow(w, (l - 1) // o * (o - 1), l)  # zeta_o^-1 in GF(l)
         zpow = np.array([pow(zinv, e, l) for e in range(o)], dtype=dt)
         F = zpow[np.outer(np.arange(o), np.arange(o)) % o]  # F[s, j] = zeta_o^(-js)
-        C = chis[power_class].T @ F % l * pow(o, -1, l) % l
+        C = chis[cd.power_classes[m]].T @ F % l * pow(o, -1, l) % l
         if (C > D[:, None]).any() or (C.sum(axis=1) != D).any():
             return None
         # rows of sum_j C[i, j] zeta_o^j on the power basis; each row of C

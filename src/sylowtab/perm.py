@@ -2,18 +2,23 @@
 
 Elements are enumerated breadth-first over the generators, one level at a
 time, so the ordering is deterministic and the identity is always element
-0.  They are stored as one (order x degree) integer array looked up
+0.  They are stored as one (order x degree) array of the narrowest
+unsigned type that holds a point (uint8 up to degree 256), looked up
 through sorted keys, and each records its BFS parent and generator: a word
 in the generators.  The search locates every product x * g as it forms it,
 so it records right multiplication by each generator; left multiplication
-by g^-1, conjugation by g, inversion and the conjugates of one element by
-all (``conjugates``, for Sylow normalizers) are composed along the BFS
-tree, one gather per level.  Conjugacy classes are orbits of the
-generators acting by conjugation, and ``right_mults`` (which
+by g^-1, conjugation by g, inversion and the conjugates of the generators
+of a growing Sylow subgroup are composed along the BFS tree, one gather
+per level.  Conjugacy classes are orbits of the generators acting by
+conjugation; every power of every class representative is found by one
+lookup, which gives the element orders, the power maps and the classes of
+the powers that the Dixon lift reads.  ``right_mults`` (which
 ``dixon.class_matrices`` counts with) composes right multiplications along
-words: after enumeration no lookup scans the whole group.  Centers and
-Sylow invariants are exhaustive scans; everything downstream is validated
-against these numbers.
+words: after enumeration no lookup scans the whole group.  The Sylow
+search fills the conjugates level by level and stops at the first level
+holding a p-element that normalizes the candidate but lies outside it.
+Centers and the Sylow invariants are exhaustive scans; everything
+downstream is validated against these numbers.
 
 Composition convention: permutations act on the right of points, and
 ``mul(a, b)`` means "apply a, then b", i.e. (a*b)[pt] = b[a[pt]].
@@ -66,7 +71,8 @@ class ConjugacyData:
     sizes: np.ndarray               # class sizes
     orders: list[int]               # element order per class
     class_of: np.ndarray            # class index per element
-    power_maps: dict[int, list[int]]  # prime -> class index of rep^p
+    power_maps: dict[int, list[int]]  # prime p -> class index of rep^(p mod o)
+    power_classes: list[np.ndarray]   # per class: class index of rep^s, s < o
 
 
 @dataclass(frozen=True)
@@ -87,14 +93,15 @@ class PermGroup:
     def __init__(self, degree: int, generators, cap: int = DEFAULT_CAP, name: str | None = None):
         if degree < 1:
             raise ValueError("degree must be positive")
+        self._dtype = np.min_scalar_type(degree - 1)  # of element and generator rows
         gens = []
         for g in generators:
             arr = np.asarray(list(g), dtype=np.int64)
             if arr.shape != (degree,) or sorted(arr.tolist()) != list(range(degree)):
                 raise ValueError(f"not a permutation of degree {degree}: {list(g)}")
-            gens.append(arr)
+            gens.append(arr.astype(self._dtype))
         if not gens:
-            gens = [np.arange(degree, dtype=np.int64)]
+            gens = [np.arange(degree, dtype=self._dtype)]
         self.degree = degree
         self.generators = gens
         self.cap = cap
@@ -115,14 +122,15 @@ class PermGroup:
     # -- enumeration --------------------------------------------------
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
-        """One sortable key per permutation row."""
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        """One sortable key per permutation row of the element dtype."""
         if self._powers is not None:
             return rows @ self._powers
-        return rows.view(np.dtype((np.void, 8 * self.degree))).reshape(len(rows))
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.itemsize * self.degree))).reshape(len(rows))
 
     def elements(self) -> np.ndarray:
-        """All group elements, (order x degree); element 0 is the identity.
+        """All group elements, (order x degree) in the narrowest unsigned
+        dtype that holds a point; element 0 is the identity.
 
         Each BFS level takes every (frontier element, then generator)
         product, generator-major and in frontier order, and keeps the first
@@ -132,14 +140,15 @@ class PermGroup:
         """
         if self._elements is not None:
             return self._elements
-        frontier = np.arange(self.degree, dtype=np.int64)[None, :]
+        frontier = np.arange(self.degree, dtype=self._dtype)[None, :]
+        gen_rows = np.stack(self.generators)
         levels, parents, gens, rights = [frontier], [np.array([-1])], [np.array([-1])], []
         seen = self._keys(frontier)              # sorted keys of the elements so far
         seen_idx = np.zeros(1, dtype=np.int64)   # BFS index of each sorted key
         start = 0                                # index of the first frontier element
         while True:
             width = len(frontier)
-            prods = np.concatenate([g[frontier] for g in self.generators])
+            prods = np.take(gen_rows, frontier, axis=1).reshape(-1, self.degree)
             keys = self._keys(prods)
             perm = np.argsort(keys)
             keys = keys[perm]
@@ -184,15 +193,22 @@ class PermGroup:
         self._sorted_keys = seen
         return E
 
-    def _along_tree(self, table: np.ndarray, start) -> np.ndarray:
-        """out[..., x] = table[h, out[..., p]] for every x = p * h (p its BFS
-        parent, h its generator), from out[..., 0] = start at the identity:
-        one gather per BFS level."""
+    def _rooted(self, start) -> np.ndarray:
+        """An int64 array of shape start.shape + (order,) holding start at
+        the identity, for ``_along_tree`` to fill."""
         start = np.asarray(start)
         out = np.empty(start.shape + (self.order,), dtype=np.int64)
         out[..., 0] = start
+        return out
+
+    def _along_tree(self, table: np.ndarray, out: np.ndarray, levels=None) -> np.ndarray:
+        """Fill out[..., x] = table[h, out[..., p]] for every x = p * h (p its
+        BFS parent, h its generator) on the given BFS levels, by default all
+        after the identity's; each level reads the ones before it.  One
+        gather per level; returns out."""
         bounds = self._level_bounds
-        for lo, hi in zip(bounds[1:], bounds[2:]):
+        for lev in range(1, len(bounds) - 1) if levels is None else levels:
+            lo, hi = bounds[lev], bounds[lev + 1]
             out[..., lo:hi] = table[self._gen[lo:hi], out[..., self._parent[lo:hi]]]
         return out
 
@@ -221,9 +237,15 @@ class PermGroup:
     # -- element index arithmetic -------------------------------------
 
     def index_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Element indices of a batch of permutation rows; KeyError on a non-member."""
+        """Element indices of a batch of permutation rows; KeyError on a
+        non-member, including a row with an entry outside 0..degree-1 (which
+        the cast to the element dtype would wrap)."""
         self.elements()
-        keys = self._keys(rows)
+        rows = np.asarray(rows)
+        if rows.size and (rows.max() >= self.degree or rows.dtype.kind == "i" and rows.min() < 0):
+            bad = ((rows < 0) | (rows >= self.degree)).any(axis=1)
+            raise KeyError(f"not a group element: {rows[bad.argmax()].tolist()}")
+        keys = self._keys(rows.astype(self._dtype, copy=False))
         # binary search runs several times faster on ascending queries
         order = np.argsort(keys)
         pos = np.empty(len(keys), dtype=np.intp)
@@ -231,7 +253,7 @@ class PermGroup:
         np.minimum(pos, len(self._sorted_keys) - 1, out=pos)
         missing = np.flatnonzero(self._sorted_keys[pos] != keys)
         if len(missing):
-            raise KeyError(f"not a group element: {np.asarray(rows)[missing[0]].tolist()}")
+            raise KeyError(f"not a group element: {rows[missing[0]].tolist()}")
         return self._sort_order[pos]
 
     def right_mults(self, idx: np.ndarray, targets):
@@ -255,21 +277,15 @@ class PermGroup:
             yield i, chain[-1]
 
     def index_of(self, row: np.ndarray) -> int:
-        return int(self.index_batch(np.asarray(row, dtype=np.int64)[None, :])[0])
-
-    def mul_index(self, i: int, j: int) -> int:
-        """Index of (element i, then element j)."""
-        E = self.elements()
-        return self.index_of(E[j][E[i]])
+        return int(self.index_batch(np.asarray(row)[None, :])[0])
 
     def inv_index(self, i: int) -> int:
         return int(self.inverse_indices()[i])
 
     def pow_index(self, i: int, k: int) -> int:
         """Index of element i to the power k >= 0."""
-        E = self.elements()
-        acc = np.arange(self.degree, dtype=np.int64)
-        base = E[i]
+        acc = np.arange(self.degree)
+        base = self.elements()[i].astype(np.intp)  # intp indices gather fastest
         while k:
             if k & 1:
                 acc = base[acc]
@@ -277,35 +293,17 @@ class PermGroup:
             k >>= 1
         return self.index_of(acc)
 
-    def element_order(self, i: int) -> int:
-        img = self.elements()[i]
-        seen = np.zeros(self.degree, dtype=bool)
-        out = 1
-        for start in range(self.degree):
-            if not seen[start]:
-                length, pt = 0, start
-                while not seen[pt]:
-                    seen[pt] = True
-                    pt = int(img[pt])
-                    length += 1
-                out = lcm(out, length)
-        return out
-
     def closure_indices(self, gen_indices) -> np.ndarray:
-        """Sorted element indices of the subgroup generated by the given elements."""
+        """Sorted element indices of the subgroup generated by the given
+        elements: one lookup per BFS level of the subgroup, for all
+        generators at once."""
         E = self.elements()
-        seen = {0}
-        frontier = [0]
-        gen_rows = [E[i] for i in gen_indices]
+        gens = E[np.asarray(gen_indices, dtype=np.intp)]
+        seen, frontier = {0}, [0]
         while frontier:
-            block = E[np.array(frontier)]
-            nxt = []
-            for g in gen_rows:
-                for idx in self.index_batch(g[block]).tolist():
-                    if idx not in seen:
-                        seen.add(idx)
-                        nxt.append(idx)
-            frontier = nxt
+            reached = self.index_batch(gens[:, E[np.array(frontier)]].reshape(-1, self.degree))
+            frontier = list(set(reached.tolist()) - seen)
+            seen.update(frontier)
         return np.array(sorted(seen))
 
     # -- conjugacy structure ------------------------------------------
@@ -314,18 +312,22 @@ class PermGroup:
         """Classes as orbits of the generators acting by conjugation.
 
         Classes are numbered by their least element index, which is also
-        their representative.
+        their representative.  The powers rep^s, s = 1, 2, ... up to the
+        identity, of all representatives are composed row by row and
+        located in one lookup: their count is the element order, and their
+        classes give ``power_classes`` and the power maps.
         """
         if self._conj is not None:
             return self._conj
-        n = len(self.elements())
+        E = self.elements()
+        n = len(E)
         # along the tree, left multiplication by g^-1 is g^-1 * (p * h) =
         # (g^-1 * p) * h; conjugation by g follows it with x -> x * g, and
         # inversion is (p * h)^-1 = h^-1 * p^-1
         ginv = self.index_batch(np.stack([np.argsort(g) for g in self.generators]))
-        left = self._along_tree(self._right_gens, ginv)
+        left = self._along_tree(self._right_gens, self._rooted(ginv))
         self._conj_gens = np.take_along_axis(self._right_gens, left, axis=1)
-        self._inverse_idx = self._along_tree(left, 0)
+        self._inverse_idx = self._along_tree(left, self._rooted(0))
         # grow each orbit from its least element, taking those in increasing
         # order; conjugation by the generators alone reaches the whole orbit
         unseen = np.ones(n, dtype=bool)
@@ -346,32 +348,28 @@ class PermGroup:
             rep += int(unseen[rep:].argmax())
             if not unseen[rep]:
                 break
-        orders = [self.element_order(r) for r in reps]
-        power_maps = {}
-        for p in prime_divisors(n):
-            power_maps[p] = [int(class_of[self.pow_index(r, p)]) for r in reps]
-        self._conj = ConjugacyData(reps, np.bincount(class_of), orders, class_of, power_maps)
+        R = E[reps]
+        live, acc, steps = np.arange(len(reps)), R, []  # acc[i] = rep^s of class live[i]
+        while len(live):
+            steps.append((live, acc))
+            keep = (acc != R[0]).any(axis=1)
+            live, acc = live[keep], np.take_along_axis(R[live[keep]], acc[keep], axis=1)
+        cls = np.concatenate([c for c, _ in steps])
+        power = np.zeros((len(reps), len(steps) + 1), dtype=np.int64)  # [c, s]: class of rep^s
+        power[cls, np.concatenate([np.full(len(c), s) for s, (c, _) in enumerate(steps, 1)])] = \
+            class_of[self.index_batch(np.concatenate([a for _, a in steps]))]
+        orders = np.bincount(cls).tolist()
+        power_maps = {p: [int(power[c, p % o]) for c, o in enumerate(orders)]
+                      for p in prime_divisors(n)}
+        self._conj = ConjugacyData(reps, np.bincount(class_of), orders, class_of, power_maps,
+                                   [power[c, :o] for c, o in enumerate(orders)])
         return self._conj
-
-    def conjugates(self, q: int) -> np.ndarray:
-        """Index of x^-1 q x for every element x.
-
-        Along the BFS tree: for x = parent * g, x^-1 q x is the conjugate of
-        parent^-1 q parent by the generator g, so each BFS level is one
-        gather from the generators' conjugation permutations.
-        """
-        self.conjugacy_data()
-        return self._along_tree(self._conj_gens, q)
 
     def exponent(self) -> int:
         out = 1
         for o in self.conjugacy_data().orders:
             out = lcm(out, o)
         return out
-
-    def centralizer_order_of_class(self, c: int) -> int:
-        cd = self.conjugacy_data()
-        return self.order // int(cd.sizes[c])
 
     def center_indices(self) -> np.ndarray:
         E = self.elements()
@@ -398,41 +396,55 @@ class PermGroup:
     # -- Sylow machinery ----------------------------------------------
 
     def sylow_p(self, p: int) -> "PermGroup":
-        """A Sylow p-subgroup, grown through normalizers from a cyclic seed."""
+        """A Sylow p-subgroup, grown through normalizers from a cyclic seed.
+
+        The seed is the p-part of the first element of order divisible by
+        p.  Each round adds the p-part y of the first such element x, in
+        BFS order, that normalizes the candidate P (x^-1 q x lies in P for
+        every generator q of P) and has y outside P.  The conjugates
+        x^-1 q x are filled along the BFS tree one level at a time and kept
+        across rounds, so no level after the one holding x is read.
+        """
         n = self.order
         target = p_part(n, p)
-        ident = np.arange(self.degree, dtype=np.int64)
         if target == 1:
-            return PermGroup(self.degree, [ident], name=f"Syl_{p}(trivial)")
+            return PermGroup(self.degree, [np.arange(self.degree)], name=f"Syl_{p}(trivial)")
         cd = self.conjugacy_data()
-        elem_orders = np.array(cd.orders)[cd.class_of]
+        singular = np.array(cd.orders) % p == 0  # per class
         E = self.elements()
+        bounds = self._level_bounds
 
         def p_element_part(i: int) -> int:
-            o = int(elem_orders[i])
+            o = cd.orders[cd.class_of[i]]
             return self.pow_index(i, o // p_part(o, p))
 
-        seed = next(i for i in range(n) if elem_orders[i] % p == 0)
-        gen_idx = [p_element_part(seed)]
-        gen_conj: list[np.ndarray] = []
+        conj, filled = [], []  # per generator q of P: x -> x^-1 q x, and its levels filled
+
+        def normalizing(is_member):
+            """Indices of the elements of order divisible by p that normalize P, ascending."""
+            for lev in range(1, len(bounds) - 1):
+                lo, hi = bounds[lev], bounds[lev + 1]
+                mask = singular[cd.class_of[lo:hi]]
+                for r, c in enumerate(conj):
+                    if filled[r] == lev:
+                        self._along_tree(self._conj_gens, c, [lev])
+                        filled[r] += 1
+                    mask &= is_member[c[lo:hi]]
+                yield from (lo + np.flatnonzero(mask)).tolist()
+
+        # the least element of order divisible by p represents its class
+        gen_idx = [p_element_part(cd.reps[int(singular.argmax())])]
         members = self.closure_indices(gen_idx)
         while len(members) < target:
-            gen_conj += [self.conjugates(q) for q in gen_idx[len(gen_conj):]]
+            conj += [self._rooted(q) for q in gen_idx[len(conj):]]
+            filled += [1] * (len(conj) - len(filled))
             is_member = np.zeros(n, dtype=bool)
             is_member[members] = True
-            mask = np.ones(n, dtype=bool)
-            for conj in gen_conj:
-                mask &= is_member[conj]
-            member_set = set(members.tolist())
-            for j in np.flatnonzero(mask).tolist():
-                if elem_orders[j] % p:
-                    continue
-                y = p_element_part(j)
-                if y not in member_set:
-                    gen_idx.append(y)
-                    break
-            else:  # pragma: no cover - Sylow theory says this cannot happen
+            y = next((y for y in map(p_element_part, normalizing(is_member)) if not is_member[y]),
+                     None)
+            if y is None:  # pragma: no cover - Sylow theory says this cannot happen
                 raise AssertionError("no p-element extends the candidate p-subgroup")
+            gen_idx.append(y)
             members = self.closure_indices(gen_idx)
         return PermGroup(self.degree, [E[i] for i in gen_idx],
                          name=f"Syl_{p}({self.name or '?'})")

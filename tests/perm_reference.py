@@ -1,12 +1,103 @@
 """Brute-force subgroup computations that only the tests use, as plain
-functions of an enumerated `PermGroup`: the derived subgroup as a normal
-closure, centralizer orders by a scan, and the index-p normal subgroups
-of a p-group.
+functions of an enumerated `PermGroup`: corpus groups with relabelled
+points, element products and orders one at
+a time, conjugates of one element by every element, the full-scan Sylow
+search that `PermGroup.sylow_p` must agree with, the derived subgroup as a
+normal closure, centralizer orders, and the index-p normal subgroups of a
+p-group.
 """
+
+import random
 
 import numpy as np
 
+from sylowtab.numutil import lcm, p_part
 from sylowtab.perm import PermGroup
+
+
+def relabelled(entry, seed) -> PermGroup:
+    """The corpus group with its points renamed by a seeded bijection."""
+    sigma = list(range(entry.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in entry.generators:
+        img = [0] * entry.degree
+        for x, gx in enumerate(g):
+            img[sigma[x]] = sigma[gx]
+        gens.append(img)
+    return PermGroup(entry.degree, gens, name=entry.name)
+
+
+def mul_index(g: PermGroup, i: int, j: int) -> int:
+    """Index of (element i, then element j)."""
+    E = g.elements()
+    return g.index_of(E[j][E[i]])
+
+
+def element_order(g: PermGroup, i: int) -> int:
+    """Order of element i: the lcm of its cycle lengths, by a walk."""
+    img = g.elements()[i]
+    seen = np.zeros(g.degree, dtype=bool)
+    out = 1
+    for start in range(g.degree):
+        if not seen[start]:
+            length, pt = 0, start
+            while not seen[pt]:
+                seen[pt] = True
+                pt = int(img[pt])
+                length += 1
+            out = lcm(out, length)
+    return out
+
+
+def conjugates(g: PermGroup, q: int) -> np.ndarray:
+    """Index of x^-1 q x for every element x, along the whole BFS tree."""
+    g.conjugacy_data()
+    return g._along_tree(g._conj_gens, g._rooted(q))
+
+
+def centralizer_order_of_class(g: PermGroup, c: int) -> int:
+    return g.order // int(g.conjugacy_data().sizes[c])
+
+
+def sylow_p(g: PermGroup, p: int) -> PermGroup:
+    """The normalizer-growth Sylow search with a full conjugate scan per
+    generator of the candidate: the reference for `PermGroup.sylow_p`."""
+    n = g.order
+    target = p_part(n, p)
+    if target == 1:
+        return PermGroup(g.degree, [np.arange(g.degree)], name=f"Syl_{p}(trivial)")
+    cd = g.conjugacy_data()
+    elem_orders = np.array(cd.orders)[cd.class_of]
+    E = g.elements()
+
+    def p_element_part(i: int) -> int:
+        o = int(elem_orders[i])
+        return g.pow_index(i, o // p_part(o, p))
+
+    seed = next(i for i in range(n) if elem_orders[i] % p == 0)
+    gen_idx = [p_element_part(seed)]
+    gen_conj: list[np.ndarray] = []
+    members = g.closure_indices(gen_idx)
+    while len(members) < target:
+        gen_conj += [conjugates(g, q) for q in gen_idx[len(gen_conj):]]
+        is_member = np.zeros(n, dtype=bool)
+        is_member[members] = True
+        mask = np.ones(n, dtype=bool)
+        for conj in gen_conj:
+            mask &= is_member[conj]
+        member_set = set(members.tolist())
+        for j in np.flatnonzero(mask).tolist():
+            if elem_orders[j] % p:
+                continue
+            y = p_element_part(j)
+            if y not in member_set:
+                gen_idx.append(y)
+                break
+        else:
+            raise AssertionError("no p-element extends the candidate p-subgroup")
+        members = g.closure_indices(gen_idx)
+    return PermGroup(g.degree, [E[i] for i in gen_idx], name=f"Syl_{p}({g.name or '?'})")
 
 
 def derived_indices(g: PermGroup) -> np.ndarray:
@@ -15,7 +106,7 @@ def derived_indices(g: PermGroup) -> np.ndarray:
     gi = [g.index_of(x) for x in g.generators]
     for i in gi:
         for j in gi:
-            c = g.mul_index(g.mul_index(g.inv_index(i), g.inv_index(j)), g.mul_index(i, j))
+            c = mul_index(g, mul_index(g, g.inv_index(i), g.inv_index(j)), mul_index(g, i, j))
             if c:
                 gens.append(c)
     gens = sorted(set(gens))
@@ -90,7 +181,7 @@ def index_p_normal_subgroups(P: PermGroup, p: int) -> list[np.ndarray]:
             rep = next(j for j in range(n) if coset_of[j] == old_lab)
             acc = rep
             for e in range(1, p):
-                acc = P.mul_index(acc, i)
+                acc = mul_index(P, acc, i)
                 new_vec = list(vec)
                 new_vec[k] = e
                 new_coords[coset_of[acc]] = tuple(new_vec)

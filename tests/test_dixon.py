@@ -16,6 +16,7 @@ from sylowtab.dixon import dixon_table
 from sylowtab.numutil import is_prime
 from sylowtab.perm import PermGroup, perm_from_cycles
 from sylowtab.serialize import emit_table
+from perm_reference import centralizer_order_of_class, relabelled
 
 TABLE_NAMES = ["C2", "S4", "A5", "SL(2,3)", "PSL(2,7)", "M11", "SL(2,9)", "A5xQ8"]
 
@@ -57,7 +58,7 @@ def test_centralizers_match_element_scan(corpus, name):
     g = corpus.group(name)
     t = corpus.table(name)
     for c in range(t.k):
-        assert centralizer_order(t, c) == g.centralizer_order_of_class(c)
+        assert centralizer_order(t, c) == centralizer_order_of_class(g, c)
 
 
 def test_trivial_character_is_row_zero(corpus):
@@ -77,19 +78,6 @@ TABLES_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "tables"
 CORPUS_NAMES = [e.name for e in corpus_entries()]
 
 
-def _relabelled(entry, seed):
-    """The corpus group with its points renamed by a seeded bijection."""
-    sigma = list(range(entry.degree))
-    random.Random(seed).shuffle(sigma)
-    gens = []
-    for g in entry.generators:
-        img = [0] * entry.degree
-        for x, gx in enumerate(g):
-            img[sigma[x]] = sigma[gx]
-        gens.append(img)
-    return PermGroup(entry.degree, gens, name=entry.name)
-
-
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_table_equals_committed_document(corpus, name):
     path = TABLES_DIR / (re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_") + ".json")
@@ -100,7 +88,7 @@ def test_table_equals_committed_document(corpus, name):
 def test_relabelled_points_give_the_same_table(corpus, name):
     text = emit_table(corpus.table(name))
     for seed in (1, 2):
-        assert emit_table(dixon_table(_relabelled(corpus.entry(name), seed))) == text
+        assert emit_table(dixon_table(relabelled(corpus.entry(name), seed))) == text
 
 
 def test_every_corpus_group_splits_at_its_first_prime(corpus, monkeypatch):
@@ -156,6 +144,23 @@ def test_solve_mod_detects_singular_krylov_matrix():
     K = np.array([[1, 2, 3], [3, 4, 5]], dtype=np.int64)
     c, rank = dixon._solve_mod(K, 7)
     assert rank == 2 and ((K[:, :2] @ c - K[:, 2]) % 7 == 0).all()
+
+
+def test_split_test_rejects_repeated_roots_and_keeps_root_zero():
+    l = 101
+    rng = random.Random(0)
+
+    def monic(roots):  # prod (x - r), coefficients from the constant term up
+        f = [1]
+        for r in roots:
+            f = [(a - r * b) % l for a, b in zip([0] + f, f + [0])]
+        return f
+
+    assert dixon._roots_of_split_poly(monic([0, 0, 5]), l, rng) is None
+    assert dixon._roots_of_split_poly(monic([7, 7, 3]), l, rng) is None
+    assert dixon._roots_of_split_poly([l - 2, 0, 1], l, rng) is None  # 2 is no square mod 101
+    for roots in ([0, 4], [0, 3, 9, 50], [1, 2, 3, 100]):
+        assert sorted(dixon._roots_of_split_poly(monic(roots), l, rng)) == roots
 
 
 def test_dixon_makes_no_cyc_arithmetic(corpus, monkeypatch):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sylowtab.corpus import corpus_entries
+from sylowtab.corpus import build_group, corpus_entries, corpus_entry
 from sylowtab.dixon import class_matrices, dixon_table
 from sylowtab.perm import CapExceeded, PermGroup, perm_from_cycles, subgroup_invariants
-from perm_reference import derived_indices, index_p_normal_subgroups
+from perm_reference import (conjugates, derived_indices, element_order,
+                            index_p_normal_subgroups, relabelled, sylow_p)
 
 # frozen brute-force ground truth: (sylow, |P:P'|, |P:Z|, maximal_class, abelian)
 EXPECTED_TRUTH = {
@@ -65,7 +66,7 @@ def test_power_map_consistency(corpus):
 def test_sylow_2_of_sl29_is_generalized_quaternion(corpus):
     P = corpus.group("SL(2,9)").sylow_p(2)
     assert P.order == 16
-    involutions = [i for i in range(P.order) if P.element_order(i) == 2]
+    involutions = [i for i in range(P.order) if element_order(P, i) == 2]
     assert len(involutions) == 1
 
 
@@ -98,7 +99,7 @@ def test_index_p_normal_subgroups_q8(corpus):
     assert len(subs) == 3
     # each is cyclic of order 4
     for s in subs:
-        assert sorted(P.element_order(int(i)) for i in s) == [1, 2, 4, 4]
+        assert sorted(element_order(P, int(i)) for i in s) == [1, 2, 4, 4]
 
 
 def test_derived_and_center_of_sylows(corpus):
@@ -118,7 +119,12 @@ def test_cap_boundary_is_the_group_order(corpus):
     ("S4", [0, 0, 1, 2]),                       # not a permutation
     ("A5", perm_from_cycles(5, [(0, 1)])),      # odd permutation
     ("SL(2,5)", perm_from_cycles(24, [(0, 1)])),  # degree 24: byte keys
-], ids=["S4", "A5", "SL(2,5)"])
+    # entries out of range; + 256 wraps onto the identity in uint8
+    ("S4", [4, 1, 2, 3]), ("S4", [-1, 1, 2, 3]), ("S4", [256, 1, 2, 3]),
+    ("SL(2,5)", [24, *range(1, 24)]), ("SL(2,5)", [-1, *range(1, 24)]),
+    ("SL(2,5)", [256, *range(1, 24)]),
+], ids=["S4", "A5", "SL(2,5)", "S4-degree", "S4-minus-1", "S4-plus-256",
+        "SL(2,5)-degree", "SL(2,5)-minus-1", "SL(2,5)-plus-256"])
 def test_index_batch_rejects_non_members(corpus, name, row):
     g = corpus.group(name)
     E = g.elements()
@@ -182,7 +188,7 @@ def test_index_maps_match_lookups(corpus, name):
     assert sorted(seen) == sorted(sample)
     for q in sample:
         conj = np.take_along_axis(E, E[q][Einv], axis=1)  # x^-1 q x, row x
-        assert g.conjugates(q).tolist() == g.index_batch(conj).tolist()
+        assert conjugates(g, q).tolist() == g.index_batch(conj).tolist()
 
 
 def test_class_structure_lookups_scale_with_generators(corpus):
@@ -247,3 +253,89 @@ def test_class_structure_sends_no_group_sized_batch(corpus):
     t = dixon_table(g)
     assert t.chars == corpus.table("S7").chars
     assert sizes and max(sizes) < g.order
+
+
+# -- narrow rows, the level-wise Sylow search and the powers lookup --------
+
+ALL = [e.name for e in corpus_entries()]
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_sylow_search_matches_the_full_scan(corpus, name):
+    entry = corpus.entry(name)
+    for g in (corpus.group(name), relabelled(entry, 1), relabelled(entry, 2)):
+        for p in entry.primes():
+            got, want = g.sylow_p(p), sylow_p(g, p)
+            assert [r.tolist() for r in got.generators] == [r.tolist() for r in want.generators]
+
+
+def _count_filled(g):
+    """Wrap g._along_tree to count the entries it fills (conjugacy_data first)."""
+    g.conjugacy_data()
+    bounds, along, filled = g._level_bounds, g._along_tree, [0]
+
+    def counted(table, out, levels=None):
+        levels = range(1, len(bounds) - 1) if levels is None else levels
+        filled[0] += out[..., 0].size * sum(bounds[lev + 1] - bounds[lev] for lev in levels)
+        return along(table, out, levels)
+
+    g._along_tree = counted
+    return filled
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sylow_search_fills_at_most_half_the_conjugates_of_a_full_scan(p):
+    g = build_group(corpus_entry("S9"))
+    filled = _count_filled(g)
+    got = g.sylow_p(p)
+    ours, filled[0] = filled[0], 0
+    want = sylow_p(g, p)
+    assert [r.tolist() for r in got.generators] == [r.tolist() for r in want.generators]
+    assert 0 < 2 * ours <= filled[0]
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_representative_powers_from_one_lookup(corpus, name):
+    g = corpus.group(name)
+    cd = g.conjugacy_data()
+    assert cd.orders == [element_order(g, r) for r in cd.reps]
+    for rep, o, classes in zip(cd.reps, cd.orders, cd.power_classes):
+        assert classes.tolist() == [cd.class_of[g.pow_index(rep, s)] for s in range(o)]
+    for p, pm in cd.power_maps.items():
+        assert pm == [cd.class_of[g.pow_index(rep, p)] for rep in cd.reps]
+
+
+def test_corpus_rows_are_uint8(corpus):
+    assert {corpus.group(name).elements().dtype for name in ALL} == {np.dtype(np.uint8)}
+
+
+def test_300_point_cycle_enumerates_in_uint16():
+    g = PermGroup(300, [perm_from_cycles(300, [tuple(range(300))])])
+    E = g.elements()
+    assert E.dtype == np.uint16 and g.order == 300
+    assert sorted(E[:, 0].tolist()) == list(range(300))
+    assert (E == (E[:, :1].astype(int) + np.arange(300)) % 300).all()
+    assert g.index_batch(E[::-1].astype(np.int64)).tolist() == list(range(300))[::-1]
+
+
+@pytest.mark.parametrize("name,p", [("S9", 2), ("S9", 3), ("M11", 2), ("S4", 3)])
+def test_closure_makes_one_lookup_per_level(corpus, name, p):
+    g = corpus.group(name)
+    E = g.elements()
+    gens = g.index_batch(np.stack(g.sylow_p(p).generators)).tolist()
+    calls = []
+    lookup = g.index_batch
+
+    def counted(rows):
+        calls.append(len(rows))
+        return lookup(rows)
+
+    g.index_batch = counted
+    try:
+        members = g.closure_indices(gens)
+    finally:
+        del g.index_batch
+    H = PermGroup(g.degree, [E[i] for i in gens])
+    assert len(members) == H.order
+    assert members.tolist() == sorted(lookup(H.elements()).tolist())
+    assert len(calls) == len(H._level_bounds) - 1
