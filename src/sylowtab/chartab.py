@@ -430,11 +430,16 @@ def derived_subgroup(t: CharTable) -> NormalSet:
 
 
 def power_class(t: CharTable, c: int, m: int) -> int:
-    """Class of x^m for x in class c, composing prime power maps."""
-    m %= t.classes[c].element_order
-    if m == 0:
+    """Class of x^m for x in class c, composing prime power maps.  m is
+    reduced modulo the element order only when every prime factor of the
+    result has a power map: 13 mod 8 = 5 need not divide |G|."""
+    m_mod = m % t.classes[c].element_order
+    if m_mod == 0:
         return 0
-    for p, e in factorize(m).items():
+    factors = factorize(m_mod)
+    if not factors.keys() <= t.power_maps.keys():
+        factors = factorize(m)
+    for p, e in factors.items():
         for _ in range(e):
             c = t.power_maps[p][c]
     return c

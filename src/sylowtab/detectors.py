@@ -294,9 +294,8 @@ def detect_center_index_p2(t: CharTable, p: int) -> Verdict:
         case(t, p, o_p, o_upper, S, semis, res)
         if res.yes is not None:
             return Verdict("yes", res.yes.reason, tuple(reductions))
-    if res.unknown:
-        return _unknown(res.unknown[0].split(":")[0],
-                        "; ".join(res.unknown), reductions)
+    if res.unknown:  # each entry already starts with its code
+        return Verdict("unknown", "; ".join(res.unknown), tuple(reductions))
     return _no("no case pattern of the four-way analysis certifies", reductions)
 
 

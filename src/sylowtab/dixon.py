@@ -263,7 +263,7 @@ def dixon_table(g: PermGroup, seed: int = 1, max_attempts: int = 8) -> CharTable
         return np.stack([mats[c] for c in sorted(mats)])
 
     A = counted(int(np.searchsorted(np.cumsum(cd.sizes[by_size]), SCAN_BUDGET, "right")))
-    inv_class = [int(cd.class_of[g.inv_index(r)]) for r in cd.reps]
+    inv_class = cd.class_of[g.inverse_indices()[cd.reps]].tolist()
     rng = random.Random(seed)
     for ell_round in range(4):
         l = _choose_ell(e, n, k, skip=ell_round)

@@ -3,22 +3,25 @@
 Elements are enumerated breadth-first over the generators, one level at a
 time, so the ordering is deterministic and the identity is always element
 0.  They are stored as one (order x degree) array of the narrowest
-unsigned type that holds a point (uint8 up to degree 256), looked up
-through sorted keys, and each records its BFS parent and generator: a word
-in the generators.  The search locates every product x * g as it forms it,
-so it records right multiplication by each generator; left multiplication
-by g^-1, conjugation by g, inversion and the conjugates of the generators
-of a growing Sylow subgroup are composed along the BFS tree, one gather
-per level.  Conjugacy classes are orbits of the generators acting by
-conjugation; every power of every class representative is found by one
-lookup, which gives the element orders, the power maps and the classes of
-the powers that the Dixon lift reads.  ``right_mults`` (which
-``dixon.class_matrices`` counts with) composes right multiplications along
-words: after enumeration no lookup scans the whole group.  The Sylow
-search fills the conjugates level by level and stops at the first level
-holding a p-element that normalizes the candidate but lies outside it.
-Centers and the Sylow invariants are exhaustive scans; everything
-downstream is validated against these numbers.
+unsigned type that holds a point (uint8 up to degree 256); each records
+its BFS parent and generator, a word in the generators.
+
+Elements are indexed through a stabilizer chain (Sims 1970; Seress,
+*Permutation Group Algorithms*, 2003, ch. 4): base points b_1..b_k and the
+orbits D_i of b_i under the stabilizer of b_1..b_{i-1}, which give the
+order prod |D_i| before enumeration.  An element is fixed by its base
+images: one dense int32 table per base point maps (node, image of b_i) to
+the next node, and the leaf holds the BFS index, -1 while unseen.  Level i
+has prod_{j<i} |D_j| nodes of degree entries, so the tables hold at most
+order x degree entries.  A lookup is k table reads and a comparison of the
+rows found with the rows asked for; a Sylow subgroup reads the tables of
+the group it was found in and keeps only its own leaf.
+
+The BFS records right multiplication by the generators, and other index
+maps (conjugation, inversion, right multiplication by any element) are
+composed from it along the BFS tree or along words, with no lookup.
+Classes, centers and Sylow invariants are exhaustive; everything
+downstream is validated against them.
 
 Composition convention: permutations act on the right of points, and
 ``mul(a, b)`` means "apply a, then b", i.e. (a*b)[pt] = b[a[pt]].
@@ -26,7 +29,10 @@ Composition convention: permutations act on the right of points, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,9 +40,6 @@ from .numutil import lcm, p_part, prime_divisors, valuation
 
 #: default element-enumeration cap
 DEFAULT_CAP = 2_000_000
-
-#: degrees up to this pack into a single int64 key (d^d < 2^63)
-_FAST_DEGREE = 15
 
 #: rows per index_batch call when looking up all pairwise commutators
 _BATCH_ROWS = 1 << 16
@@ -46,23 +49,54 @@ class CapExceeded(RuntimeError):
     """Raised when a group closure exceeds the configured element cap."""
 
 
-def _merged(old: np.ndarray, at: np.ndarray, kept: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """`old` with `new` inserted at the positions `at` of the result; `kept`
-    marks the other positions."""
-    out = np.empty(len(kept), dtype=old.dtype)
-    out[at] = new
-    out[kept] = old
-    return out
-
-
 def perm_from_cycles(degree: int, cycles) -> list[int]:
     """Image list of a permutation given by disjoint cycles (0-based)."""
     img = list(range(degree))
-    for cyc in cycles:
-        cyc = list(cyc)
+    for cyc in map(list, cycles):
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             img[a] = b
     return img
+
+
+def stabilizer_chain(degree: int, generators, cap: float = math.inf) -> tuple[list, list]:
+    """Base points and, per base point b, its orbit under the stabilizer of
+    the earlier ones as a dict a -> (u, u^-1), u[b] = a.  Knuth's incremental
+    Schreier-Sims (1991): a generator that does not sift joins its level;
+    each new (orbit point, generator) pair extends the orbit or gives a
+    Schreier generator for the next level.  CapExceeded once the orbits
+    prove the order exceeds `cap`; the trivial group gets the base [0]."""
+    ident = tuple(range(degree))
+    base, gens, orbits = [], [], []  # per level; gens: (g, getter of g^-1)
+
+    def add(k: int, g: tuple) -> None:  # g fixes base[:k]
+        h, j = g, k
+        while j < len(base) and h[base[j]] in orbits[j]:
+            h, j = itemgetter(*h)(orbits[j][h[base[j]]][1]), j + 1
+        if h == ident:
+            return
+        if k == len(base):
+            base.append(next(x for x in range(degree) if g[x] != x))
+            gens.append([])
+            orbits.append({base[k]: (ident, ident)})
+        get_ginv = itemgetter(*sorted(range(degree), key=g.__getitem__))
+        gens[k].append((g, get_ginv))
+        todo = [(itemgetter(*u)(g), get_ginv, uinv) for u, uinv in list(orbits[k].values())]
+        while todo:
+            v, get_sinv, uinv = todo.pop()  # v = u s, whose inverse is s^-1 u^-1
+            a = v[base[k]]
+            if a in orbits[k]:
+                add(k + 1, itemgetter(*v)(orbits[k][a][1]))
+            else:
+                vinv = get_sinv(uinv)
+                orbits[k][a] = v, vinv
+                todo += [(itemgetter(*v)(s), get_s, vinv) for s, get_s in gens[k]]
+        if math.prod(map(len, orbits)) > cap:
+            raise CapExceeded(f"group exceeds element cap {cap}")
+
+    for g in generators:
+        add(0, tuple(map(int, g)))
+    del add  # a recursive closure is a reference cycle, freed only by the collector
+    return (base, orbits) if base else ([0], [{0: (ident, ident)}])
 
 
 @dataclass
@@ -88,9 +122,12 @@ class GroundTruth:
 
 
 class PermGroup:
-    """A finite permutation group given by generators, fully enumerated."""
+    """A finite permutation group given by generators, fully enumerated.
+    `within`, an enumerated group holding the generators, lends its
+    stabilizer-chain tables for looking up this group's elements."""
 
-    def __init__(self, degree: int, generators, cap: int = DEFAULT_CAP, name: str | None = None):
+    def __init__(self, degree: int, generators, cap: int = DEFAULT_CAP, name: str | None = None,
+                 within: PermGroup | None = None):
         if degree < 1:
             raise ValueError("degree must be positive")
         self._dtype = np.min_scalar_type(degree - 1)  # of element and generator rows
@@ -106,6 +143,7 @@ class PermGroup:
         self.generators = gens
         self.cap = cap
         self.name = name
+        self._within = within
         self._elements: np.ndarray | None = None
         self._conj: ConjugacyData | None = None
         self._parent: np.ndarray | None = None   # BFS parent index per element
@@ -114,88 +152,98 @@ class PermGroup:
         self._right_gens: np.ndarray | None = None  # row g: x -> x * g
         self._conj_gens: np.ndarray | None = None   # row g: x -> g^-1 x g
         self._inverse_idx: np.ndarray | None = None  # x -> x^-1
-        # keys pack into one int64 up to degree 15, else they are the row bytes
-        self._powers = degree ** np.arange(degree, dtype=np.int64) if degree <= _FAST_DEGREE else None
-        self._sorted_keys = None
-        self._sort_order = None
+        self._rep_powers: np.ndarray | None = None  # [c, s]: index of rep^s, s <= order
+        self._base: np.ndarray | None = None  # base points b_1..b_k
+        self._tables: list[np.ndarray] = []   # per b_1..b_{k-1}: slot -> next node's slot 0
+        self._leaf: np.ndarray | None = None  # slot -> BFS index, -1 while unseen
 
     # -- enumeration --------------------------------------------------
 
-    def _keys(self, rows: np.ndarray) -> np.ndarray:
-        """One sortable key per permutation row of the element dtype."""
-        if self._powers is not None:
-            return rows @ self._powers
-        rows = np.ascontiguousarray(rows)
-        return rows.view(np.dtype((np.void, rows.itemsize * self.degree))).reshape(len(rows))
+    def _build_tables(self) -> None:
+        """The base, the inner tables and an empty leaf, from the stabilizer
+        chain (CapExceeded when its order exceeds the cap) or `within`."""
+        if self._within is not None:  # the slots are the element indices in `within`
+            self._base, self._tables = self._within._base, self._within._tables
+            self._leaf = np.full(self._within.order, -1, dtype=self._within._leaf.dtype)
+            return
+        base, orbits = stabilizer_chain(self.degree, self.generators, self.cap)
+        order = math.prod(map(len, orbits))
+        # entries hold slots and, while enumerating, product positions
+        dtype = np.int32 if order * max(self.degree, len(self.generators)) < 2**31 else np.int64
+        # a node of level i is w = u_{i-1} ... u_1 (u_j in the transversal of
+        # level j); the elements below it with x[b_i] = w[a] go on to u_a w
+        nodes = np.arange(self.degree, dtype=self._dtype)[None, :]
+        for i, orb in enumerate(orbits[:-1]):
+            pts, n = list(orb), len(nodes)
+            table = np.zeros(n * self.degree, dtype=dtype)
+            table[(np.arange(n) * self.degree)[:, None] + nodes[:, pts]] = \
+                np.arange(n * len(pts)).reshape(n, -1) * self.degree
+            self._tables.append(table)
+            if i < len(orbits) - 2:
+                nodes = nodes[:, [orb[a][0] for a in pts]].reshape(-1, self.degree)
+        self._leaf = np.full(order // len(orbits[-1]) * self.degree, -1, dtype=dtype)
+        self._base = np.array(base)
+
+    def _slots(self, cols) -> np.ndarray:
+        """Leaf slots of elements from their images of b_1..b_k (k columns),
+        one table read per column after the first; reads clip, so any row
+        reaches a slot (index_batch checks the element found there)."""
+        slot = cols[0]
+        for table, col in zip(self._tables, cols[1:]):
+            slot = table.take(slot, mode="clip") + col
+        return slot if self._within is None else self._within._leaf.take(slot, mode="clip")
 
     def elements(self) -> np.ndarray:
         """All group elements, (order x degree) in the narrowest unsigned
-        dtype that holds a point; element 0 is the identity.
-
-        Each BFS level takes every (frontier element, then generator)
-        product, generator-major and in frontier order, and keeps the first
-        occurrence of each element not seen before.  Locating the products
-        records x * g for each x and generator g (``_right_gens``) and the
-        element behind each sorted key (``_sort_order``).
-        """
+        dtype that holds a point; element 0 is the identity.  Each BFS level
+        takes every (frontier element, then generator) product,
+        generator-major and in frontier order, and keeps the first
+        occurrence of each new element; locating the products records x * g
+        for each x and generator g (``_right_gens``)."""
         if self._elements is not None:
             return self._elements
+        self._build_tables()
+        leaf, base = self._leaf, self._base
         frontier = np.arange(self.degree, dtype=self._dtype)[None, :]
-        gen_rows = np.stack(self.generators)
+        leaf[self._slots(frontier[:, base].T)] = 0
+        gen_rows, gen_ids = np.stack(self.generators), np.arange(len(self.generators) + 1)
         levels, parents, gens, rights = [frontier], [np.array([-1])], [np.array([-1])], []
-        seen = self._keys(frontier)              # sorted keys of the elements so far
-        seen_idx = np.zeros(1, dtype=np.int64)   # BFS index of each sorted key
-        start = 0                                # index of the first frontier element
+        start, count = 0, 1  # index of the first frontier element; elements so far
         while True:
             width = len(frontier)
-            prods = np.take(gen_rows, frontier, axis=1).reshape(-1, self.degree)
-            keys = self._keys(prods)
-            perm = np.argsort(keys)
-            keys = keys[perm]
-            head = np.ones(len(keys), dtype=bool)  # first of each run of equal keys
-            head[1:] = keys[1:] != keys[:-1]
-            runs = np.flatnonzero(head)
-            uniq, first = keys[runs], np.minimum.reduceat(perm, runs)
-            where = np.empty(len(keys), dtype=np.intp)  # product -> its position in uniq
-            where[perm] = np.cumsum(head) - 1
-            pos = np.searchsorted(seen, uniq)
-            near = np.minimum(pos, len(seen) - 1)
-            fresh = np.flatnonzero(seen[near] != uniq)
-            count = len(seen) + len(fresh)
-            if count > self.cap:
-                raise CapExceeded(f"group exceeds element cap {self.cap}")
-            # new elements are numbered in order of their first product
-            order = np.argsort(first[fresh])
-            uniq_idx = seen_idx[near]
-            uniq_idx[fresh[order]] = np.arange(len(seen), count)
-            rights.append(uniq_idx[where].reshape(len(self.generators), width))
-            if not len(fresh):
+            images = np.take(gen_rows, frontier[:, base].T, axis=1)  # [g, i, x]: g[x[b_i]]
+            slot = self._slots(images.transpose(1, 0, 2)).reshape(-1)
+            idx = leaf[slot]
+            rights.append(idx.reshape(len(gen_rows), width))
+            new = np.flatnonzero(idx < 0)
+            if not len(new):
                 break
-            # merge the new keys into the sorted ones, carrying their indices
-            at = pos[fresh] + np.arange(len(fresh))
-            kept = np.ones(count, dtype=bool)
-            kept[at] = False
-            seen = _merged(seen, at, kept, uniq[fresh])
-            seen_idx = _merged(seen_idx, at, kept, uniq_idx[fresh])
-            first = first[fresh[order]]
-            parents.append(start + first % width)
-            gens.append(first // width)
-            start += width
-            frontier = prods[first]
+            # new elements are numbered in order of their first product, which wins
+            at = slot[new]
+            leaf[at[::-1]] = new[::-1]
+            won = leaf[at]
+            if (won > new).any():  # numpy does not promise the last write wins
+                np.minimum.at(leaf, at, new)
+                won = leaf[at]
+            first = new[won == new]
+            leaf[slot[first]] = np.arange(count, count + len(first))
+            idx[new] = leaf[at]
+            gen, parent = np.divmod(first, width)
+            parents.append(start + parent)
+            gens.append(gen)
+            start, count = start + width, count + len(first)
+            runs = np.searchsorted(gen, gen_ids)  # gen is ascending
+            frontier = np.concatenate([g[frontier[parent[lo:hi]]] for g, lo, hi
+                                       in zip(gen_rows, runs[:-1], runs[1:])])
             levels.append(frontier)
-        E = np.concatenate(levels)
-        self._elements = E
-        self._parent = np.concatenate(parents)
-        self._gen = np.concatenate(gens)
+        E = self._elements = np.concatenate(levels)
+        self._parent, self._gen = np.concatenate(parents), np.concatenate(gens)
         self._level_bounds = np.cumsum([0] + [len(level) for level in levels]).tolist()
-        self._right_gens = np.concatenate(rights, axis=1)
-        self._sort_order = seen_idx
-        self._sorted_keys = seen
+        self._right_gens = np.concatenate(rights, axis=1, dtype=np.int64)
         return E
 
     def _rooted(self, start) -> np.ndarray:
-        """An int64 array of shape start.shape + (order,) holding start at
-        the identity, for ``_along_tree`` to fill."""
+        """An int64 array start.shape + (order,) with start at the identity."""
         start = np.asarray(start)
         out = np.empty(start.shape + (self.order,), dtype=np.int64)
         out[..., 0] = start
@@ -204,8 +252,7 @@ class PermGroup:
     def _along_tree(self, table: np.ndarray, out: np.ndarray, levels=None) -> np.ndarray:
         """Fill out[..., x] = table[h, out[..., p]] for every x = p * h (p its
         BFS parent, h its generator) on the given BFS levels, by default all
-        after the identity's; each level reads the ones before it.  One
-        gather per level; returns out."""
+        after the identity's, one gather per level; returns out."""
         bounds = self._level_bounds
         for lev in range(1, len(bounds) - 1) if levels is None else levels:
             lo, hi = bounds[lev], bounds[lev + 1]
@@ -222,49 +269,31 @@ class PermGroup:
         self.elements()
         out = []
         while i:
-            out.append(int(self._gen[i]))
-            i = int(self._parent[i])
-        return out[::-1]
+            out, i = [int(self._gen[i])] + out, int(self._parent[i])
+        return out
 
     @property
     def order(self) -> int:
         return len(self.elements())
 
-    def inverses(self) -> np.ndarray:
-        """The inverse permutation rows, (order x degree), on each call."""
-        return np.argsort(self.elements(), axis=1)
-
     # -- element index arithmetic -------------------------------------
 
     def index_batch(self, rows: np.ndarray) -> np.ndarray:
         """Element indices of a batch of permutation rows; KeyError on a
-        non-member, including a row with an entry outside 0..degree-1 (which
-        the cast to the element dtype would wrap)."""
-        self.elements()
-        rows = np.asarray(rows)
-        if rows.size and (rows.max() >= self.degree or rows.dtype.kind == "i" and rows.min() < 0):
-            bad = ((rows < 0) | (rows >= self.degree)).any(axis=1)
-            raise KeyError(f"not a group element: {rows[bad.argmax()].tolist()}")
-        keys = self._keys(rows.astype(self._dtype, copy=False))
-        # binary search runs several times faster on ascending queries
-        order = np.argsort(keys)
-        pos = np.empty(len(keys), dtype=np.intp)
-        pos[order] = np.searchsorted(self._sorted_keys, keys[order])
-        np.minimum(pos, len(self._sorted_keys) - 1, out=pos)
-        missing = np.flatnonzero(self._sorted_keys[pos] != keys)
-        if len(missing):
-            raise KeyError(f"not a group element: {rows[missing[0]].tolist()}")
-        return self._sort_order[pos]
+        non-member, including a row with an entry outside 0..degree-1."""
+        E, rows = self.elements(), np.asarray(rows)
+        idx = self._leaf.take(self._slots(rows[:, self._base].T), mode="clip")
+        wrong = (E[idx] != rows).any(axis=1)  # an unseen slot reads -1, the last element
+        if wrong.any():
+            raise KeyError(f"not a group element: {rows[wrong.argmax()].tolist()}")
+        return idx
 
     def right_mults(self, idx: np.ndarray, targets):
         """Yield (i, indices of (element x, then element i) for every x in idx)
-        for each element index i in targets.
-
-        Right multiplication by i is composed from the generators' index
-        permutations along the word of i.  Targets are taken in the order
-        of their words, so each reuses the gathers of the prefix it shares
-        with the one before: one gather per distinct prefix, no key lookups.
-        """
+        for each element index i in targets, composed from the generators'
+        index permutations along the word of i.  Targets are taken in the
+        order of their words, so each reuses the gathers of the prefix it
+        shares with the one before: one gather per distinct prefix."""
         self.elements()
         chain, prev = [np.asarray(idx)], []  # chain[t]: idx times the first t letters
         for word, i in sorted((self.word(i), i) for i in targets):
@@ -276,27 +305,21 @@ class PermGroup:
             prev = word
             yield i, chain[-1]
 
-    def index_of(self, row: np.ndarray) -> int:
-        return int(self.index_batch(np.asarray(row)[None, :])[0])
-
-    def inv_index(self, i: int) -> int:
-        return int(self.inverse_indices()[i])
-
-    def pow_index(self, i: int, k: int) -> int:
-        """Index of element i to the power k >= 0."""
-        acc = np.arange(self.degree)
-        base = self.elements()[i].astype(np.intp)  # intp indices gather fastest
-        while k:
-            if k & 1:
-                acc = base[acc]
-            base = base[base]
-            k >>= 1
-        return self.index_of(acc)
+    def pow_indices(self, idx, k) -> np.ndarray:
+        """Indices of element idx[j] to the power k[j] >= 0 (or all to the
+        power k): each row by repeated squaring, all in one lookup."""
+        idx = np.reshape(idx, -1)
+        out = np.empty((len(idx), self.degree), dtype=np.intp)
+        for j, (i, e) in enumerate(zip(idx.tolist(), np.broadcast_to(k, idx.shape).tolist())):
+            acc, base = np.arange(self.degree), self.elements()[i].astype(np.intp)
+            while e:  # intp indices gather fastest
+                acc, base, e = base[acc] if e & 1 else acc, base[base], e >> 1
+            out[j] = acc
+        return self.index_batch(out)
 
     def closure_indices(self, gen_indices) -> np.ndarray:
         """Sorted element indices of the subgroup generated by the given
-        elements: one lookup per BFS level of the subgroup, for all
-        generators at once."""
+        elements: one lookup per BFS level of the subgroup."""
         E = self.elements()
         gens = E[np.asarray(gen_indices, dtype=np.intp)]
         seen, frontier = {0}, [0]
@@ -309,14 +332,11 @@ class PermGroup:
     # -- conjugacy structure ------------------------------------------
 
     def conjugacy_data(self) -> ConjugacyData:
-        """Classes as orbits of the generators acting by conjugation.
-
-        Classes are numbered by their least element index, which is also
-        their representative.  The powers rep^s, s = 1, 2, ... up to the
-        identity, of all representatives are composed row by row and
+        """Classes as orbits of the generators acting by conjugation,
+        numbered by their least element, which represents them.  The powers
+        rep^s, s = 1, 2, ... up to the identity, of all representatives are
         located in one lookup: their count is the element order, and their
-        classes give ``power_classes`` and the power maps.
-        """
+        classes give ``power_classes`` and the power maps."""
         if self._conj is not None:
             return self._conj
         E = self.elements()
@@ -355,9 +375,10 @@ class PermGroup:
             keep = (acc != R[0]).any(axis=1)
             live, acc = live[keep], np.take_along_axis(R[live[keep]], acc[keep], axis=1)
         cls = np.concatenate([c for c, _ in steps])
-        power = np.zeros((len(reps), len(steps) + 1), dtype=np.int64)  # [c, s]: class of rep^s
+        power = np.zeros((len(reps), len(steps) + 1), dtype=np.int64)  # [c, s]: rep^s
         power[cls, np.concatenate([np.full(len(c), s) for s, (c, _) in enumerate(steps, 1)])] = \
-            class_of[self.index_batch(np.concatenate([a for _, a in steps]))]
+            self.index_batch(np.concatenate([a for _, a in steps]))
+        self._rep_powers, power = power, class_of[power]
         orders = np.bincount(cls).tolist()
         power_maps = {p: [int(power[c, p % o]) for c, o in enumerate(orders)]
                       for p in prime_divisors(n)}
@@ -366,24 +387,18 @@ class PermGroup:
         return self._conj
 
     def exponent(self) -> int:
-        out = 1
-        for o in self.conjugacy_data().orders:
-            out = lcm(out, o)
-        return out
+        return reduce(lcm, self.conjugacy_data().orders, 1)
 
     def center_indices(self) -> np.ndarray:
         E = self.elements()
-        mask = np.ones(len(E), dtype=bool)
-        for g in self.generators:
-            mask &= (E[:, g] == g[E]).all(axis=1)
-        return np.flatnonzero(mask)
+        return np.flatnonzero(np.logical_and.reduce([(E[:, g] == g[E]).all(axis=1)
+                                                     for g in self.generators]))
 
     def commutator_indices(self) -> list[int]:
         """Sorted indices of all commutators [x, y] = x^-1 y^-1 x y, looked
         up in batches of at most max(_BATCH_ROWS, order) pairs."""
         E = self.elements()
-        Einv = self.inverses()
-        n = len(E)
+        Einv, n = np.argsort(E, axis=1), len(E)
         step = max(1, _BATCH_ROWS // n)
         out = set()
         for lo in range(0, n, step):
@@ -396,58 +411,53 @@ class PermGroup:
     # -- Sylow machinery ----------------------------------------------
 
     def sylow_p(self, p: int) -> "PermGroup":
-        """A Sylow p-subgroup, grown through normalizers from a cyclic seed.
-
-        The seed is the p-part of the first element of order divisible by
-        p.  Each round adds the p-part y of the first such element x, in
-        BFS order, that normalizes the candidate P (x^-1 q x lies in P for
-        every generator q of P) and has y outside P.  The conjugates
-        x^-1 q x are filled along the BFS tree one level at a time and kept
-        across rounds, so no level after the one holding x is read.
-        """
+        """A Sylow p-subgroup, grown through normalizers from a cyclic seed:
+        the p-part of the first element of order divisible by p.  Each round
+        adds the p-part y of the first such element x, in BFS order, that
+        normalizes the candidate P (x^-1 q x lies in P for every generator q
+        of P) and has y outside P.  The conjugates x^-1 q x are filled along
+        the BFS tree one level at a time and kept across rounds, so no level
+        after the one holding x is read; a level's p-parts take one lookup."""
         n = self.order
         target = p_part(n, p)
         if target == 1:
             return PermGroup(self.degree, [np.arange(self.degree)], name=f"Syl_{p}(trivial)")
         cd = self.conjugacy_data()
         singular = np.array(cd.orders) % p == 0  # per class
-        E = self.elements()
-        bounds = self._level_bounds
-
-        def p_element_part(i: int) -> int:
-            o = cd.orders[cd.class_of[i]]
-            return self.pow_index(i, o // p_part(o, p))
-
+        cofactor = np.array([o // p_part(o, p) for o in cd.orders])  # x^cofactor: x's p-part
+        E, bounds = self.elements(), self._level_bounds
         conj, filled = [], []  # per generator q of P: x -> x^-1 q x, and its levels filled
 
-        def normalizing(is_member):
-            """Indices of the elements of order divisible by p that normalize P, ascending."""
+        def extension(is_member) -> int:
+            """The first p-part outside P of a normalizing element outside P."""
             for lev in range(1, len(bounds) - 1):
                 lo, hi = bounds[lev], bounds[lev + 1]
-                mask = singular[cd.class_of[lo:hi]]
+                mask = singular[cd.class_of[lo:hi]] & ~is_member[lo:hi]
                 for r, c in enumerate(conj):
                     if filled[r] == lev:
                         self._along_tree(self._conj_gens, c, [lev])
                         filled[r] += 1
                     mask &= is_member[c[lo:hi]]
-                yield from (lo + np.flatnonzero(mask)).tolist()
+                xs = lo + np.flatnonzero(mask)
+                ys = self.pow_indices(xs, cofactor[cd.class_of[xs]]) if len(xs) else xs
+                if not is_member[ys].all():
+                    return int(ys[~is_member[ys]][0])
+            # Sylow's theorems rule this out
+            raise AssertionError("no p-element extends the candidate p-subgroup")
 
         # the least element of order divisible by p represents its class
-        gen_idx = [p_element_part(cd.reps[int(singular.argmax())])]
-        members = self.closure_indices(gen_idx)
-        while len(members) < target:
+        c = int(singular.argmax())
+        gen_idx = [int(self._rep_powers[c, cofactor[c]])]
+        members = None if cd.orders[c] // cofactor[c] == target else self.closure_indices(gen_idx)
+        while members is not None and len(members) < target:  # None: the seed generates P
             conj += [self._rooted(q) for q in gen_idx[len(conj):]]
             filled += [1] * (len(conj) - len(filled))
             is_member = np.zeros(n, dtype=bool)
             is_member[members] = True
-            y = next((y for y in map(p_element_part, normalizing(is_member)) if not is_member[y]),
-                     None)
-            if y is None:  # pragma: no cover - Sylow theory says this cannot happen
-                raise AssertionError("no p-element extends the candidate p-subgroup")
-            gen_idx.append(y)
+            gen_idx.append(extension(is_member))
             members = self.closure_indices(gen_idx)
-        return PermGroup(self.degree, [E[i] for i in gen_idx],
-                         name=f"Syl_{p}({self.name or '?'})")
+        return PermGroup(self.degree, [E[i] for i in gen_idx], cap=self.cap,
+                         name=f"Syl_{p}({self.name or '?'})", within=self)
 
     def ground_truth(self, p: int) -> GroundTruth:
         return subgroup_invariants(self.sylow_p(p), p)
@@ -459,23 +469,13 @@ def subgroup_invariants(P: PermGroup, p: int) -> GroundTruth:
     v = valuation(n, p)
     if n != p**v:
         raise ValueError(f"not a p-group: |P| = {n}")
-    derived = P.closure_indices(P.commutator_indices()) if n > 1 else np.array([0])
     center = P.center_indices()
     abelian = len(center) == n
-    commutator_index = n // len(derived)
-    center_index = n // len(center)
-    if abelian or v <= 2:
-        maximal = False
-    elif v == 3:
-        maximal = True  # nonabelian of order p^3 has class 2 = v - 1
-    else:
-        E = P.elements()
-        maximal = False
-        for i in range(n):
-            x = E[i]
-            cent = int(np.count_nonzero((E[:, x] == x[E]).all(axis=1)))
-            if cent == p * p:
-                maximal = True
-                break
-    return GroundTruth(p=p, sylow_order=n, commutator_index=commutator_index,
-                       center_index=center_index, maximal_class=maximal, abelian=abelian)
+    derived = [0] if abelian else P.closure_indices(P.commutator_indices())
+    E = P.elements()
+    # a nonabelian group of order p^3 has class 2 = v - 1; a larger one has
+    # maximal class when some element's centralizer has order p^2
+    maximal = not abelian and v >= 3 and (v == 3 or any(
+        np.count_nonzero((E[:, x] == x[E]).all(axis=1)) == p * p for x in E))
+    return GroundTruth(p=p, sylow_order=n, commutator_index=n // len(derived),
+                       center_index=n // len(center), maximal_class=maximal, abelian=abelian)

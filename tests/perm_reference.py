@@ -1,9 +1,10 @@
 """Brute-force subgroup computations that only the tests use, as plain
-functions of an enumerated `PermGroup`: corpus groups with relabelled
-points, element products and orders one at
-a time, conjugates of one element by every element, the full-scan Sylow
-search that `PermGroup.sylow_p` must agree with, the derived subgroup as a
-normal closure, centralizer orders, and the index-p normal subgroups of a
+functions of an enumerated `PermGroup`: the sorted-key breadth-first
+enumeration that `PermGroup.elements` must agree with, corpus groups with
+relabelled points, element products and orders one at a time, conjugates
+of one element by every element, the full-scan Sylow search that
+`PermGroup.sylow_p` must agree with, the derived subgroup as a normal
+closure, centralizer orders, and the index-p normal subgroups of a
 p-group.
 """
 
@@ -13,6 +14,70 @@ import numpy as np
 
 from sylowtab.numutil import lcm, p_part
 from sylowtab.perm import PermGroup
+
+
+def sorted_key_bfs(degree: int, generators):
+    """(elements, BFS parent, generator, right multiplications) of the group,
+    enumerated level by level with every element located through a sorted
+    array of keys: the rows packed into one int64 up to degree 15, else the
+    row bytes.  Each level sorts its products, searches them in the keys
+    seen so far and merges the new keys in."""
+    dtype = np.min_scalar_type(degree - 1)
+    gen_rows = np.array([list(g) for g in generators], dtype=dtype).reshape(-1, degree)
+    if not len(gen_rows):
+        gen_rows = np.arange(degree, dtype=dtype)[None, :]
+    powers = degree ** np.arange(degree, dtype=np.int64) if degree <= 15 else None
+
+    def keys_of(rows):
+        if powers is not None:
+            return rows @ powers
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.itemsize * degree))).reshape(len(rows))
+
+    def merged(old, at, kept, new):
+        out = np.empty(len(kept), dtype=old.dtype)
+        out[at] = new
+        out[kept] = old
+        return out
+
+    frontier = np.arange(degree, dtype=dtype)[None, :]
+    levels, parents, gens, rights = [frontier], [np.array([-1])], [np.array([-1])], []
+    seen, seen_idx, start = keys_of(frontier), np.zeros(1, dtype=np.int64), 0
+    while True:
+        width = len(frontier)
+        prods = np.take(gen_rows, frontier, axis=1).reshape(-1, degree)
+        keys = keys_of(prods)
+        perm = np.argsort(keys)
+        keys = keys[perm]
+        head = np.ones(len(keys), dtype=bool)  # first of each run of equal keys
+        head[1:] = keys[1:] != keys[:-1]
+        runs = np.flatnonzero(head)
+        uniq, first = keys[runs], np.minimum.reduceat(perm, runs)
+        where = np.empty(len(keys), dtype=np.intp)  # product -> its position in uniq
+        where[perm] = np.cumsum(head) - 1
+        pos = np.searchsorted(seen, uniq)
+        near = np.minimum(pos, len(seen) - 1)
+        fresh = np.flatnonzero(seen[near] != uniq)
+        count = len(seen) + len(fresh)
+        order = np.argsort(first[fresh])  # new elements in order of their first product
+        uniq_idx = seen_idx[near]
+        uniq_idx[fresh[order]] = np.arange(len(seen), count)
+        rights.append(uniq_idx[where].reshape(len(gen_rows), width))
+        if not len(fresh):
+            break
+        at = pos[fresh] + np.arange(len(fresh))
+        kept = np.ones(count, dtype=bool)
+        kept[at] = False
+        seen = merged(seen, at, kept, uniq[fresh])
+        seen_idx = merged(seen_idx, at, kept, uniq_idx[fresh])
+        first = first[fresh[order]]
+        parents.append(start + first % width)
+        gens.append(first // width)
+        start += width
+        frontier = prods[first]
+        levels.append(frontier)
+    return (np.concatenate(levels), np.concatenate(parents), np.concatenate(gens),
+            np.concatenate(rights, axis=1))
 
 
 def relabelled(entry, seed) -> PermGroup:
@@ -31,7 +96,7 @@ def relabelled(entry, seed) -> PermGroup:
 def mul_index(g: PermGroup, i: int, j: int) -> int:
     """Index of (element i, then element j)."""
     E = g.elements()
-    return g.index_of(E[j][E[i]])
+    return int(g.index_batch(E[j][E[i]][None])[0])
 
 
 def element_order(g: PermGroup, i: int) -> int:
@@ -73,7 +138,7 @@ def sylow_p(g: PermGroup, p: int) -> PermGroup:
 
     def p_element_part(i: int) -> int:
         o = int(elem_orders[i])
-        return g.pow_index(i, o // p_part(o, p))
+        return int(g.pow_indices([i], o // p_part(o, p))[0])
 
     seed = next(i for i in range(n) if elem_orders[i] % p == 0)
     gen_idx = [p_element_part(seed)]
@@ -103,15 +168,17 @@ def sylow_p(g: PermGroup, p: int) -> PermGroup:
 def derived_indices(g: PermGroup) -> np.ndarray:
     """G' = normal closure of the generator commutators (element indices)."""
     gens = []
-    gi = [g.index_of(x) for x in g.generators]
+    gi = g.index_batch(np.stack(g.generators)).tolist()
+    inv = g.inverse_indices()
     for i in gi:
         for j in gi:
-            c = mul_index(g, mul_index(g, g.inv_index(i), g.inv_index(j)), mul_index(g, i, j))
+            c = mul_index(g, mul_index(g, int(inv[i]), int(inv[j])), mul_index(g, i, j))
             if c:
                 gens.append(c)
     gens = sorted(set(gens))
     current = g.closure_indices(gens) if gens else np.array([0])
-    E, Einv = g.elements(), g.inverses()
+    E = g.elements()
+    Einv = np.argsort(E, axis=1)
     while True:
         cur_set = set(current.tolist())
         extra = []
@@ -147,8 +214,7 @@ def index_p_normal_subgroups(P: PermGroup, p: int) -> list[np.ndarray]:
     if n == 1:
         return []
     frat_gens = set(P.commutator_indices())
-    for i in range(n):
-        frat_gens.add(P.pow_index(i, p))
+    frat_gens.update(P.pow_indices(np.arange(n), p).tolist())
     frat_gens.discard(0)
     M = P.closure_indices(sorted(frat_gens)) if frat_gens else np.array([0])
     # label cosets of M by their smallest member index

@@ -149,7 +149,7 @@ def test_criterion_4_lemma_suites(corpus):
         cents = [centralizer_size(P, i) for i in range(n)]
         # Lemma 2.1(i): G' meet Z(G) meet P lies in P'
         p_in_g = set(int(i) for i in g.index_batch(P.elements()))
-        pprime_in_g = set(int(g.index_of(P.elements()[i])) for i in derived)
+        pprime_in_g = set(g.index_batch(P.elements()[sorted(derived)]).tolist())
         if name not in g_cache:
             g_cache[name] = (set(int(i) for i in g.center_indices()),
                              set(int(i) for i in derived_indices(g)))

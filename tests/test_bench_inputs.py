@@ -1,0 +1,40 @@
+"""The benchmark harness under perfbench/ can set up every workload.
+
+A corpus entry without its table fixture makes ``make_inputs`` raise for
+``analyze-tables``, and one without golden rows counts every row of that
+group as failed; either way a benchmark run dies or reports nothing.
+These tests read perfbench/ and change nothing there.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from sylowtab.corpus import corpus_entries
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_make_inputs_for_every_workload(workload):
+    items = workloads.make_inputs(workload, 1)
+    assert items and all(item.text for item in items)
+    names = {item.name for item in items}
+    if workload == "analyze-tables":
+        assert names == {e.name for e in corpus_entries()}
+
+
+def test_oracle_workloads_split_the_corpus():
+    large = {item.name for item in workloads.make_inputs("oracle-large", 1)}
+    small = {item.name for item in workloads.make_inputs("oracle-small", 1)}
+    assert large == set(workloads.LARGE_GROUPS) and not large & small
+    assert large | small == {e.name for e in corpus_entries()}
+
+
+def test_every_corpus_pair_has_a_golden_row():
+    golden = workloads.load_golden()
+    for entry in corpus_entries():
+        for p in entry.primes():
+            assert (entry.name, p) in golden, (entry.name, p)

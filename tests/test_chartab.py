@@ -11,10 +11,10 @@ from sylowtab.chartab import (CharTable, ClassData, _tensor_basis,
                               quotient_table, validate)
 from sylowtab.cyclo import Cyc, cyc_root
 from sylowtab.blocks import block_partition
-from sylowtab.corpus import _psl2_perms
+from sylowtab.corpus import _direct_product, _psl2_perms, corpus_entry
 from sylowtab.detectors import detect_center_index_p2, detect_commutator_index_p2
 from sylowtab.dixon import dixon_table
-from sylowtab.perm import PermGroup
+from sylowtab.perm import PermGroup, perm_from_cycles
 from sylowtab.numutil import divisors, euler_phi, prime_divisors
 from table_reference import (fresh, reference_blocks, reference_centralizer_order,
                              reference_validate)
@@ -70,6 +70,20 @@ def test_power_class_and_p_elements(corpus):
         o = t.classes[c].element_order
         assert power_class(t, c, o) == 0
         assert is_p_element(t, c, 2) == (o in (1, 2, 4))
+
+
+def test_power_class_of_a_prime_outside_the_element_order():
+    """On Q16 x C13, x^13 for x of order 8 is x^5, and 5 has no power map:
+    the 13th power map itself must be applied."""
+    q16 = corpus_entry("Q16")
+    g = PermGroup(*_direct_product([(q16.degree, [list(x) for x in q16.generators]),
+                                    (13, [perm_from_cycles(13, [tuple(range(13))])])]))
+    t, cd = dixon_table(g), g.conjugacy_data()
+    assert [c.element_order for c in t.classes] == cd.orders
+    assert 8 in cd.orders
+    for m in (13, 2, 26, 169):
+        want = cd.class_of[g.pow_indices(cd.reps, m)].tolist()
+        assert [power_class(t, c, m) for c in range(t.k)] == want
 
 
 def test_nilpotent_normal(corpus):

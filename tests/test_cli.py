@@ -6,6 +6,7 @@ import pytest
 
 from sylowtab.chartab import CharTable, ClassData
 from sylowtab.cli import main
+from sylowtab.corpus import _direct_product
 from sylowtab.cyclo import Cyc, cyc_root
 from sylowtab.serialize import GroupDocument, emit_group, emit_table
 
@@ -144,3 +145,16 @@ def test_max_elements_caps_enumeration(capsys):
     assert main(["corpus", "--filter", "S4", "--max-elements", "23"]) == 2
     assert "element cap 23" in capsys.readouterr().err
     assert main(["corpus", "--filter", "S4", "--max-elements", "24"]) == 0
+
+
+def test_oracle_on_q16_x_psl213_has_no_traceback(corpus, tmp_path, capsys):
+    """13 mod 8 = 5 once sent the quotient tables to a missing 5-power map."""
+    a, b = corpus.entry("Q16"), corpus.entry("PSL(2,13)")
+    degree, gens = _direct_product([(a.degree, [list(g) for g in a.generators]),
+                                    (b.degree, [list(g) for g in b.generators])])
+    path = tmp_path / "q16xpsl213.json"
+    path.write_text(emit_group(GroupDocument(degree, tuple(map(tuple, gens)), "Q16xPSL(2,13)",
+                                             a.expected_order * b.expected_order)))
+    assert main(["oracle", str(path), "--all-primes"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("check=MATCH") == 12

@@ -1,12 +1,15 @@
 import pytest
 
 from sylowtab.chartab import normal_lattice, quotient_table
-from sylowtab.detectors import (LIE_DEGREE_PATTERN_UNTESTED,
+from sylowtab.corpus import _direct_product
+from sylowtab.detectors import (ABELIAN_TEST_PRECONDITION, LIE_DEGREE_PATTERN_UNTESTED,
                                 SOCLE_DATA_MISSING, Verdict,
                                 _almost_simple_commutator, compute_K,
                                 detect_center_index_p2,
                                 detect_commutator_index_p2,
                                 detect_normal_p_abelian)
+from sylowtab.dixon import dixon_table
+from sylowtab.perm import PermGroup, perm_from_cycles
 from sylowtab.simplerec import SimpleId
 
 # frozen expected verdicts, hand-checked against the brute-force oracle:
@@ -165,3 +168,13 @@ def test_lie_degree_pattern_is_tagged(corpus):
     v = _almost_simple_commutator(t, 3, fake, t.whole_group())
     assert v.answer in ("yes", "no")
     assert LIE_DEGREE_PATTERN_UNTESTED in v.reason
+
+
+def test_unknown_reason_names_its_code_once(corpus):
+    s5 = corpus.entry("S5")
+    g = PermGroup(*_direct_product([(2, [perm_from_cycles(2, [(0, 1)])]),
+                                    (s5.degree, [list(x) for x in s5.generators])]))
+    v = detect_center_index_p2(dixon_table(g), 2)  # C2 x S5
+    assert v.answer == "unknown"
+    assert v.reason.startswith(f"{ABELIAN_TEST_PRECONDITION}: ")
+    assert v.reason.count(ABELIAN_TEST_PRECONDITION) == 1

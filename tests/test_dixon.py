@@ -130,7 +130,7 @@ def test_python_int_path_above_int64(corpus, name, start, split_dtype):
     l = next(x for x in itertools.count((start // e + 1) * e + 1, e) if is_prime(x))
     assert max(cd.orders) * (l - 1) ** 2 >= 1 << 63
     A = dixon.class_matrices(g)
-    inv_class = [int(cd.class_of[g.inv_index(r)]) for r in cd.reps]
+    inv_class = cd.class_of[g.inverse_indices()[cd.reps]].tolist()
     rng = random.Random(3)
     V = next(V for V in (dixon._common_eigenvectors(A, k, l, rng) for _ in range(8))
              if V is not None)

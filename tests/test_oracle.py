@@ -1,11 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
-from sylowtab.corpus import build_group, corpus_entries, corpus_entry
+from sylowtab.corpus import _psl2_perms, _sym, build_group, corpus_entries, corpus_entry
 from sylowtab.dixon import class_matrices, dixon_table
-from sylowtab.perm import CapExceeded, PermGroup, perm_from_cycles, subgroup_invariants
+from sylowtab.perm import (DEFAULT_CAP, CapExceeded, PermGroup, perm_from_cycles,
+                           subgroup_invariants)
 from perm_reference import (conjugates, derived_indices, element_order,
-                            index_p_normal_subgroups, relabelled, sylow_p)
+                            index_p_normal_subgroups, relabelled, sorted_key_bfs, sylow_p)
 
 # frozen brute-force ground truth: (sylow, |P:P'|, |P:Z|, maximal_class, abelian)
 EXPECTED_TRUTH = {
@@ -60,7 +63,7 @@ def test_power_map_consistency(corpus):
     cd = g.conjugacy_data()
     for p, pm in cd.power_maps.items():
         for c, rep in enumerate(cd.reps):
-            assert cd.class_of[g.pow_index(rep, p)] == pm[c]
+            assert cd.class_of[g.pow_indices([rep], p)[0]] == pm[c]
 
 
 def test_sylow_2_of_sl29_is_generalized_quaternion(corpus):
@@ -129,7 +132,7 @@ def test_index_batch_rejects_non_members(corpus, name, row):
     g = corpus.group(name)
     E = g.elements()
     with pytest.raises(KeyError):
-        g.index_of(np.array(row))
+        g.index_batch(np.array(row)[None])
     with pytest.raises(KeyError):
         g.index_batch(np.vstack([E[:3], [row]]))
     assert g.index_batch(E[::-1]).tolist() == list(range(g.order))[::-1]
@@ -142,7 +145,8 @@ SMALL = [e.name for e in corpus_entries() if e.expected_order <= 5040]
 
 def _brute_class_of(g):
     """Class labels by conjugating each new representative by every element."""
-    E, Einv = g.elements(), g.inverses()
+    E = g.elements()
+    Einv = np.argsort(E, axis=1)
     class_of = np.full(len(E), -1)
     for x in range(len(E)):
         if class_of[x] < 0:
@@ -169,7 +173,7 @@ def test_class_matrices_count_pairs(corpus, name):
     direct = np.zeros((k, k, k), dtype=np.int64)
     for m, rep in enumerate(cd.reps):
         # the pairs (x, y) with x*y = z_m are the (x, x^-1 * z_m)
-        y = g.index_batch(E[rep][g.inverses()])
+        y = g.index_batch(E[rep][np.argsort(E, axis=1)])
         assert (E[rep] == np.take_along_axis(E[y], E, axis=1)).all()
         np.add.at(direct[:, :, m], (cd.class_of, cd.class_of[y]), 1)
     A = class_matrices(g)
@@ -179,7 +183,8 @@ def test_class_matrices_count_pairs(corpus, name):
 @pytest.mark.parametrize("name", ["S7", "SL(2,7)", "C3wrC3"])
 def test_index_maps_match_lookups(corpus, name):
     g = corpus.group(name)
-    E, Einv = g.elements(), g.inverses()
+    E = g.elements()
+    Einv = np.argsort(E, axis=1)
     sample = np.random.default_rng(0).choice(g.order, 12, replace=False).tolist()
     seen = []
     for i, ys in g.right_mults(np.arange(g.order), sample):
@@ -300,9 +305,10 @@ def test_representative_powers_from_one_lookup(corpus, name):
     cd = g.conjugacy_data()
     assert cd.orders == [element_order(g, r) for r in cd.reps]
     for rep, o, classes in zip(cd.reps, cd.orders, cd.power_classes):
-        assert classes.tolist() == [cd.class_of[g.pow_index(rep, s)] for s in range(o)]
+        powers = g.pow_indices(np.full(o, rep), np.arange(o))
+        assert classes.tolist() == cd.class_of[powers].tolist()
     for p, pm in cd.power_maps.items():
-        assert pm == [cd.class_of[g.pow_index(rep, p)] for rep in cd.reps]
+        assert pm == cd.class_of[g.pow_indices(cd.reps, p)].tolist()
 
 
 def test_corpus_rows_are_uint8(corpus):
@@ -339,3 +345,76 @@ def test_closure_makes_one_lookup_per_level(corpus, name, p):
     assert len(members) == H.order
     assert members.tolist() == sorted(lookup(H.elements()).tolist())
     assert len(calls) == len(H._level_bounds) - 1
+
+
+# -- the stabilizer-chain index against the sorted-key BFS ----------------
+
+
+def _assert_bfs_matches_reference(g):
+    E, parent, gen, right = sorted_key_bfs(g.degree, g.generators)
+    assert g.elements().dtype == E.dtype and np.array_equal(g.elements(), E)
+    assert np.array_equal(g._parent, parent) and np.array_equal(g._gen, gen)
+    assert np.array_equal(g._right_gens, right)
+    assert g.index_batch(E[::-1]).tolist() == list(range(len(E)))[::-1]
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_bfs_matches_the_sorted_key_reference(name):
+    entry = corpus_entry(name)
+    for seed in (1, 2, 3):
+        g = relabelled(entry, seed)
+        _assert_bfs_matches_reference(g)
+        for p in entry.primes():
+            P = g.sylow_p(p)  # indexed through the tables of g
+            assert P._within is g
+            _assert_bfs_matches_reference(P)
+
+
+@pytest.mark.parametrize("degree,gens", [
+    (54, _psl2_perms(53)),
+    (300, [perm_from_cycles(300, [tuple(range(300))])]),
+    (6, []),                      # the trivial group
+    (1, [[0]]),                   # degree 1
+    (6, [perm_from_cycles(6, [(0, 1)]), perm_from_cycles(6, [(0, 1)])]),  # repeated generator
+], ids=["PSL(2,53)", "300-cycle", "trivial", "degree-1", "repeated"])
+def test_bfs_matches_the_reference_beyond_the_corpus(degree, gens):
+    _assert_bfs_matches_reference(PermGroup(degree, gens))
+
+
+@pytest.mark.parametrize("name", ["A8", "M11"])
+def test_rows_agreeing_on_the_base_are_rejected(corpus, name):
+    g = corpus.group(name)
+    E = g.elements()
+    base = g._base.tolist()
+    i, j = [pt for pt in range(g.degree) if pt not in base][:2]
+    for x in range(0, g.order, max(1, g.order // 50)):
+        swapped, repeated = E[x].copy(), E[x].copy()
+        swapped[[i, j]] = swapped[[j, i]]  # another permutation, equal on the base
+        repeated[i] = repeated[j]          # not a permutation
+        for row in (swapped, repeated):
+            assert (row[base] == E[x][base]).all()
+            with pytest.raises(KeyError):
+                g.index_batch(np.vstack([E[:2], row]))
+
+
+@pytest.mark.parametrize("n", [10, 200])
+def test_cap_is_checked_before_enumeration(n):
+    g = PermGroup(n, _sym(n))  # S10 has 3,628,800 elements
+    assert g.cap == DEFAULT_CAP < 3_628_800
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        g.elements()
+    assert time.perf_counter() - t0 < 1.0
+    assert g._elements is None
+
+
+@pytest.mark.parametrize("name,p", [("S4", 2), ("M11", 3), ("SL(2,5)", 2)])
+def test_sylow_subgroup_lookups_reject_rows_outside_it(corpus, name, p):
+    g = corpus.group(name)
+    P = g.sylow_p(p)
+    E, members = g.elements(), set(g.index_batch(P.elements()).tolist())
+    outside = next(x for x in range(g.order) if x not in members)
+    for row in (E[outside], [g.degree, *range(1, g.degree)], [0] * g.degree):
+        with pytest.raises(KeyError):
+            P.index_batch(np.vstack([P.elements()[:1], row]))
+    assert P.index_batch(P.elements()[::-1]).tolist() == list(range(P.order))[::-1]
