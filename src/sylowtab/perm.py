@@ -153,9 +153,9 @@ class PermGroup:
         self._conj_gens: np.ndarray | None = None   # row g: x -> g^-1 x g
         self._inverse_idx: np.ndarray | None = None  # x -> x^-1
         self._rep_powers: np.ndarray | None = None  # [c, s]: index of rep^s, s <= order
-        self._base: np.ndarray | None = None  # base points b_1..b_k
-        self._tables: list[np.ndarray] = []   # per b_1..b_{k-1}: slot -> next node's slot 0
-        self._leaf: np.ndarray | None = None  # slot -> BFS index, -1 while unseen
+        self._base: np.ndarray | None = None      # base points b_1..b_k
+        self._tables: list[np.ndarray] | None = None  # per b_1..b_{k-1}: slot -> next slot 0
+        self._leaf: np.ndarray | None = None      # slot -> BFS index, -1 while unseen
 
     # -- enumeration --------------------------------------------------
 
@@ -172,7 +172,7 @@ class PermGroup:
         dtype = np.int32 if order * max(self.degree, len(self.generators)) < 2**31 else np.int64
         # a node of level i is w = u_{i-1} ... u_1 (u_j in the transversal of
         # level j); the elements below it with x[b_i] = w[a] go on to u_a w
-        nodes = np.arange(self.degree, dtype=self._dtype)[None, :]
+        nodes, self._tables = np.arange(self.degree, dtype=self._dtype)[None, :], []
         for i, orb in enumerate(orbits[:-1]):
             pts, n = list(orb), len(nodes)
             table = np.zeros(n * self.degree, dtype=dtype)
