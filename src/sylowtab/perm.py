@@ -163,7 +163,7 @@ class PermGroup:
         """The base, the inner tables and an empty leaf, from the stabilizer
         chain (CapExceeded when its order exceeds the cap) or `within`."""
         if self._within is not None:  # the slots are the element indices in `within`
-            self._base, self._tables = self._within._base, self._within._tables
+            self._base = self._within._base
             self._leaf = np.full(self._within.order, -1, dtype=self._within._leaf.dtype)
             return
         base, orbits = stabilizer_chain(self.degree, self.generators, self.cap)
@@ -185,13 +185,14 @@ class PermGroup:
         self._base = np.array(base)
 
     def _slots(self, cols) -> np.ndarray:
-        """Leaf slots of elements from their images of b_1..b_k (k columns),
-        one table read per column after the first; reads clip, so any row
-        reaches a slot (index_batch checks the element found there)."""
+        """Leaf slots of elements from their images of b_1..b_k (k columns), one
+        table read per column after the first; reads clip, so any row gets one."""
+        if self._within is not None:
+            return self._within._leaf.take(self._within._slots(cols), mode="clip")
         slot = cols[0]
         for table, col in zip(self._tables, cols[1:]):
             slot = table.take(slot, mode="clip") + col
-        return slot if self._within is None else self._within._leaf.take(slot, mode="clip")
+        return slot
 
     def elements(self) -> np.ndarray:
         """All group elements, (order x degree) in the narrowest unsigned
@@ -244,8 +245,7 @@ class PermGroup:
 
     def _rooted(self, start) -> np.ndarray:
         """An int64 array start.shape + (order,) with start at the identity."""
-        start = np.asarray(start)
-        out = np.empty(start.shape + (self.order,), dtype=np.int64)
+        out = np.empty(np.shape(start) + (self.order,), dtype=np.int64)
         out[..., 0] = start
         return out
 

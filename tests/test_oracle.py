@@ -368,6 +368,8 @@ def test_bfs_matches_the_sorted_key_reference(name):
             P = g.sylow_p(p)  # indexed through the tables of g
             assert P._within is g
             _assert_bfs_matches_reference(P)
+            if seed == 1:  # indexed through P, then through g
+                _assert_bfs_matches_reference(P.sylow_p(p))
 
 
 @pytest.mark.parametrize("degree,gens", [
