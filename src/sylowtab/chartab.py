@@ -430,16 +430,12 @@ def derived_subgroup(t: CharTable) -> NormalSet:
 
 
 def power_class(t: CharTable, c: int, m: int) -> int:
-    """Class of x^m for x in class c, composing prime power maps.  m is
-    reduced modulo the element order only when every prime factor of the
-    result has a power map: 13 mod 8 = 5 need not divide |G|."""
-    m_mod = m % t.classes[c].element_order
-    if m_mod == 0:
+    """Class of x^m for x in class c, composing the power maps of m's prime
+    factors.  m is not reduced modulo the element order: 13 mod 8 = 5 need
+    not divide |G|, so it may have no power map."""
+    if m % t.classes[c].element_order == 0:
         return 0
-    factors = factorize(m_mod)
-    if not factors.keys() <= t.power_maps.keys():
-        factors = factorize(m)
-    for p, e in factors.items():
+    for p, e in factorize(m).items():
         for _ in range(e):
             c = t.power_maps[p][c]
     return c

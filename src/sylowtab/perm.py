@@ -3,8 +3,8 @@
 Elements are enumerated breadth-first over the generators, one level at a
 time, so the ordering is deterministic and the identity is always element
 0.  They are stored as one (order x degree) array of the narrowest
-unsigned type that holds a point (uint8 up to degree 256); each records
-its BFS parent and generator, a word in the generators.
+unsigned type that holds a point (uint8 up to degree 256), and each
+records its BFS parent and generator: a word in the generators.
 
 Elements are indexed through a stabilizer chain (Sims 1970; Seress,
 *Permutation Group Algorithms*, 2003, ch. 4): base points b_1..b_k and the
@@ -14,14 +14,22 @@ images: one dense int32 table per base point maps (node, image of b_i) to
 the next node, and the leaf holds the BFS index, -1 while unseen.  Level i
 has prod_{j<i} |D_j| nodes of degree entries, so the tables hold at most
 order x degree entries.  A lookup is k table reads and a comparison of the
-rows found with the rows asked for; a Sylow subgroup reads the tables of
-the group it was found in and keeps only its own leaf.
+rows found with the rows asked for.
 
-The BFS records right multiplication by the generators, and other index
-maps (conjugation, inversion, right multiplication by any element) are
-composed from it along the BFS tree or along words, with no lookup.
-Classes, centers and Sylow invariants are exhaustive; everything
-downstream is validated against them.
+The search locates every product x * g as it forms it, so it records
+right multiplication by each generator; left multiplication by g^-1,
+conjugation by g, inversion and the conjugates of the generators of a
+growing Sylow subgroup are composed along the BFS tree, one gather per
+level.  Conjugacy classes are orbits of the generators acting by
+conjugation; every power of every class representative is found by one
+lookup, which gives the element orders, the power maps and the classes of
+the powers that the Dixon lift reads.  ``right_mults`` (which
+``dixon.class_matrices`` counts with) composes right multiplications along
+words: after enumeration no lookup scans the whole group.  The Sylow
+search fills the conjugates level by level and stops at the first level
+holding a p-element that normalizes the candidate but lies outside it.
+Centers and the Sylow invariants are exhaustive scans; everything
+downstream is validated against these numbers.
 
 Composition convention: permutations act on the right of points, and
 ``mul(a, b)`` means "apply a, then b", i.e. (a*b)[pt] = b[a[pt]].
@@ -31,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from operator import itemgetter
 
 import numpy as np
@@ -52,13 +59,14 @@ class CapExceeded(RuntimeError):
 def perm_from_cycles(degree: int, cycles) -> list[int]:
     """Image list of a permutation given by disjoint cycles (0-based)."""
     img = list(range(degree))
-    for cyc in map(list, cycles):
+    for cyc in cycles:
+        cyc = list(cyc)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             img[a] = b
     return img
 
 
-def stabilizer_chain(degree: int, generators, cap: float = math.inf) -> tuple[list, list]:
+def stabilizer_chain(degree: int, generators, cap: int) -> tuple[list, list]:
     """Base points and, per base point b, its orbit under the stabilizer of
     the earlier ones as a dict a -> (u, u^-1), u[b] = a.  Knuth's incremental
     Schreier-Sims (1991): a generator that does not sift joins its level;
@@ -122,12 +130,9 @@ class GroundTruth:
 
 
 class PermGroup:
-    """A finite permutation group given by generators, fully enumerated.
-    `within`, an enumerated group holding the generators, lends its
-    stabilizer-chain tables for looking up this group's elements."""
+    """A finite permutation group given by generators, fully enumerated."""
 
-    def __init__(self, degree: int, generators, cap: int = DEFAULT_CAP, name: str | None = None,
-                 within: PermGroup | None = None):
+    def __init__(self, degree: int, generators, cap: int = DEFAULT_CAP, name: str | None = None):
         if degree < 1:
             raise ValueError("degree must be positive")
         self._dtype = np.min_scalar_type(degree - 1)  # of element and generator rows
@@ -143,7 +148,6 @@ class PermGroup:
         self.generators = gens
         self.cap = cap
         self.name = name
-        self._within = within
         self._elements: np.ndarray | None = None
         self._conj: ConjugacyData | None = None
         self._parent: np.ndarray | None = None   # BFS parent index per element
@@ -161,11 +165,7 @@ class PermGroup:
 
     def _build_tables(self) -> None:
         """The base, the inner tables and an empty leaf, from the stabilizer
-        chain (CapExceeded when its order exceeds the cap) or `within`."""
-        if self._within is not None:  # the slots are the element indices in `within`
-            self._base = self._within._base
-            self._leaf = np.full(self._within.order, -1, dtype=self._within._leaf.dtype)
-            return
+        chain (CapExceeded when its order exceeds the cap)."""
         base, orbits = stabilizer_chain(self.degree, self.generators, self.cap)
         order = math.prod(map(len, orbits))
         # entries hold slots and, while enumerating, product positions
@@ -187,8 +187,6 @@ class PermGroup:
     def _slots(self, cols) -> np.ndarray:
         """Leaf slots of elements from their images of b_1..b_k (k columns), one
         table read per column after the first; reads clip, so any row gets one."""
-        if self._within is not None:
-            return self._within._leaf.take(self._within._slots(cols), mode="clip")
         slot = cols[0]
         for table, col in zip(self._tables, cols[1:]):
             slot = table.take(slot, mode="clip") + col
@@ -196,11 +194,13 @@ class PermGroup:
 
     def elements(self) -> np.ndarray:
         """All group elements, (order x degree) in the narrowest unsigned
-        dtype that holds a point; element 0 is the identity.  Each BFS level
-        takes every (frontier element, then generator) product,
-        generator-major and in frontier order, and keeps the first
-        occurrence of each new element; locating the products records x * g
-        for each x and generator g (``_right_gens``)."""
+        dtype that holds a point; element 0 is the identity.
+
+        Each BFS level takes every (frontier element, then generator)
+        product, generator-major and in frontier order, and keeps the first
+        occurrence of each element not seen before.  Locating the products
+        records x * g for each x and generator g (``_right_gens``).
+        """
         if self._elements is not None:
             return self._elements
         self._build_tables()
@@ -237,22 +237,27 @@ class PermGroup:
             frontier = np.concatenate([g[frontier[parent[lo:hi]]] for g, lo, hi
                                        in zip(gen_rows, runs[:-1], runs[1:])])
             levels.append(frontier)
-        E = self._elements = np.concatenate(levels)
-        self._parent, self._gen = np.concatenate(parents), np.concatenate(gens)
+        E = np.concatenate(levels)
+        self._elements = E
+        self._parent = np.concatenate(parents)
+        self._gen = np.concatenate(gens)
         self._level_bounds = np.cumsum([0] + [len(level) for level in levels]).tolist()
         self._right_gens = np.concatenate(rights, axis=1, dtype=np.int64)
         return E
 
     def _rooted(self, start) -> np.ndarray:
-        """An int64 array start.shape + (order,) with start at the identity."""
-        out = np.empty(np.shape(start) + (self.order,), dtype=np.int64)
+        """An int64 array of shape start.shape + (order,) holding start at
+        the identity, for ``_along_tree`` to fill."""
+        start = np.asarray(start)
+        out = np.empty(start.shape + (self.order,), dtype=np.int64)
         out[..., 0] = start
         return out
 
     def _along_tree(self, table: np.ndarray, out: np.ndarray, levels=None) -> np.ndarray:
         """Fill out[..., x] = table[h, out[..., p]] for every x = p * h (p its
         BFS parent, h its generator) on the given BFS levels, by default all
-        after the identity's, one gather per level; returns out."""
+        after the identity's; each level reads the ones before it.  One
+        gather per level; returns out."""
         bounds = self._level_bounds
         for lev in range(1, len(bounds) - 1) if levels is None else levels:
             lo, hi = bounds[lev], bounds[lev + 1]
@@ -269,8 +274,9 @@ class PermGroup:
         self.elements()
         out = []
         while i:
-            out, i = [int(self._gen[i])] + out, int(self._parent[i])
-        return out
+            out.append(int(self._gen[i]))
+            i = int(self._parent[i])
+        return out[::-1]
 
     @property
     def order(self) -> int:
@@ -290,10 +296,13 @@ class PermGroup:
 
     def right_mults(self, idx: np.ndarray, targets):
         """Yield (i, indices of (element x, then element i) for every x in idx)
-        for each element index i in targets, composed from the generators'
-        index permutations along the word of i.  Targets are taken in the
-        order of their words, so each reuses the gathers of the prefix it
-        shares with the one before: one gather per distinct prefix."""
+        for each element index i in targets.
+
+        Right multiplication by i is composed from the generators' index
+        permutations along the word of i.  Targets are taken in the order
+        of their words, so each reuses the gathers of the prefix it shares
+        with the one before: one gather per distinct prefix, no lookups.
+        """
         self.elements()
         chain, prev = [np.asarray(idx)], []  # chain[t]: idx times the first t letters
         for word, i in sorted((self.word(i), i) for i in targets):
@@ -319,7 +328,8 @@ class PermGroup:
 
     def closure_indices(self, gen_indices) -> np.ndarray:
         """Sorted element indices of the subgroup generated by the given
-        elements: one lookup per BFS level of the subgroup."""
+        elements: one lookup per BFS level of the subgroup, for all
+        generators at once."""
         E = self.elements()
         gens = E[np.asarray(gen_indices, dtype=np.intp)]
         seen, frontier = {0}, [0]
@@ -332,11 +342,14 @@ class PermGroup:
     # -- conjugacy structure ------------------------------------------
 
     def conjugacy_data(self) -> ConjugacyData:
-        """Classes as orbits of the generators acting by conjugation,
-        numbered by their least element, which represents them.  The powers
-        rep^s, s = 1, 2, ... up to the identity, of all representatives are
+        """Classes as orbits of the generators acting by conjugation.
+
+        Classes are numbered by their least element index, which is also
+        their representative.  The powers rep^s, s = 1, 2, ... up to the
+        identity, of all representatives are composed row by row and
         located in one lookup: their count is the element order, and their
-        classes give ``power_classes`` and the power maps."""
+        classes give ``power_classes`` and the power maps.
+        """
         if self._conj is not None:
             return self._conj
         E = self.elements()
@@ -387,18 +400,24 @@ class PermGroup:
         return self._conj
 
     def exponent(self) -> int:
-        return reduce(lcm, self.conjugacy_data().orders, 1)
+        out = 1
+        for o in self.conjugacy_data().orders:
+            out = lcm(out, o)
+        return out
 
     def center_indices(self) -> np.ndarray:
         E = self.elements()
-        return np.flatnonzero(np.logical_and.reduce([(E[:, g] == g[E]).all(axis=1)
-                                                     for g in self.generators]))
+        mask = np.ones(len(E), dtype=bool)
+        for g in self.generators:
+            mask &= (E[:, g] == g[E]).all(axis=1)
+        return np.flatnonzero(mask)
 
     def commutator_indices(self) -> list[int]:
         """Sorted indices of all commutators [x, y] = x^-1 y^-1 x y, looked
         up in batches of at most max(_BATCH_ROWS, order) pairs."""
         E = self.elements()
-        Einv, n = np.argsort(E, axis=1), len(E)
+        Einv = np.argsort(E, axis=1)
+        n = len(E)
         step = max(1, _BATCH_ROWS // n)
         out = set()
         for lo in range(0, n, step):
@@ -411,13 +430,16 @@ class PermGroup:
     # -- Sylow machinery ----------------------------------------------
 
     def sylow_p(self, p: int) -> "PermGroup":
-        """A Sylow p-subgroup, grown through normalizers from a cyclic seed:
-        the p-part of the first element of order divisible by p.  Each round
-        adds the p-part y of the first such element x, in BFS order, that
-        normalizes the candidate P (x^-1 q x lies in P for every generator q
-        of P) and has y outside P.  The conjugates x^-1 q x are filled along
-        the BFS tree one level at a time and kept across rounds, so no level
-        after the one holding x is read; a level's p-parts take one lookup."""
+        """A Sylow p-subgroup, grown through normalizers from a cyclic seed.
+
+        The seed is the p-part of the first element of order divisible by
+        p.  Each round adds the p-part y of the first such element x, in
+        BFS order, that normalizes the candidate P (x^-1 q x lies in P for
+        every generator q of P) and has y outside P.  The conjugates
+        x^-1 q x are filled along the BFS tree one level at a time and kept
+        across rounds, so no level after the one holding x is read; the
+        p-parts of a level's candidates take one lookup.
+        """
         n = self.order
         target = p_part(n, p)
         if target == 1:
@@ -425,7 +447,8 @@ class PermGroup:
         cd = self.conjugacy_data()
         singular = np.array(cd.orders) % p == 0  # per class
         cofactor = np.array([o // p_part(o, p) for o in cd.orders])  # x^cofactor: x's p-part
-        E, bounds = self.elements(), self._level_bounds
+        E = self.elements()
+        bounds = self._level_bounds
         conj, filled = [], []  # per generator q of P: x -> x^-1 q x, and its levels filled
 
         def extension(is_member) -> int:
@@ -457,7 +480,7 @@ class PermGroup:
             gen_idx.append(extension(is_member))
             members = self.closure_indices(gen_idx)
         return PermGroup(self.degree, [E[i] for i in gen_idx], cap=self.cap,
-                         name=f"Syl_{p}({self.name or '?'})", within=self)
+                         name=f"Syl_{p}({self.name or '?'})")
 
     def ground_truth(self, p: int) -> GroundTruth:
         return subgroup_invariants(self.sylow_p(p), p)
@@ -472,10 +495,20 @@ def subgroup_invariants(P: PermGroup, p: int) -> GroundTruth:
     center = P.center_indices()
     abelian = len(center) == n
     derived = [0] if abelian else P.closure_indices(P.commutator_indices())
-    E = P.elements()
-    # a nonabelian group of order p^3 has class 2 = v - 1; a larger one has
-    # maximal class when some element's centralizer has order p^2
-    maximal = not abelian and v >= 3 and (v == 3 or any(
-        np.count_nonzero((E[:, x] == x[E]).all(axis=1)) == p * p for x in E))
-    return GroundTruth(p=p, sylow_order=n, commutator_index=n // len(derived),
-                       center_index=n // len(center), maximal_class=maximal, abelian=abelian)
+    commutator_index = n // len(derived)
+    center_index = n // len(center)
+    if abelian or v <= 2:
+        maximal = False
+    elif v == 3:
+        maximal = True  # nonabelian of order p^3 has class 2 = v - 1
+    else:
+        E = P.elements()
+        maximal = False
+        for i in range(n):
+            x = E[i]
+            cent = int(np.count_nonzero((E[:, x] == x[E]).all(axis=1)))
+            if cent == p * p:
+                maximal = True
+                break
+    return GroundTruth(p=p, sylow_order=n, commutator_index=commutator_index,
+                       center_index=center_index, maximal_class=maximal, abelian=abelian)
