@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .blocks import abelian_sylow_test, count_height_zero_principal
 from .corpus import build_group, corpus_entries
@@ -103,21 +104,14 @@ def _analyze_table(t, primes) -> tuple[list[ReportRow], list[str]]:
 
 
 def _oracle_rows(g: PermGroup, primes) -> tuple[list[ReportRow], list[str]]:
-    t = dixon_table(g)
-    rows, traces = [], []
-    for p in primes:
-        gt = g.ground_truth(p)
-        va = detect_commutator_index_p2(t, p)
-        vb = detect_center_index_p2(t, p)
-        rows.append(ReportRow(
-            group=g.name or "?", p=p, thm_a=va.answer, thm_b=vb.answer,
-            abelian_sylow=abelian_sylow_test(t, p),
-            height_zero_principal=count_height_zero_principal(t, p),
-            oracle_commutator_p2=gt.commutator_index == p * p,
-            oracle_center_p2=gt.center_index == p * p,
-            oracle_abelian=gt.abelian))
-        for label, v in (("thmA", va), ("thmB", vb)):
-            traces.append(f"{g.name or '?'} p={p} {label}: {v.answer} ({v.reason})")
+    """The rows and traces of `analyze` on g's Dixon table, with the
+    brute-force ground truth added to each row."""
+    rows, traces = _analyze_table(dixon_table(g), primes)
+    for i, row in enumerate(rows):
+        gt = g.ground_truth(row.p)
+        rows[i] = replace(row, oracle_commutator_p2=gt.commutator_index == row.p ** 2,
+                          oracle_center_p2=gt.center_index == row.p ** 2,
+                          oracle_abelian=gt.abelian)
     return rows, traces
 
 
@@ -166,14 +160,12 @@ def main(argv=None) -> int:
             rows, traces = _oracle_rows(g, primes)
             return _finish(rows, traces, args.json)
         # corpus
-        rows, traces = [], []
+        rows = []
         for entry in corpus_entries():
             if args.filter and args.filter not in entry.name:
                 continue
             g = build_group(entry, cap=args.max_elements)
-            r, tr = _oracle_rows(g, entry.primes())
-            rows += r
-            traces += tr
+            rows += _oracle_rows(g, entry.primes())[0]
         return _finish(rows, [], args.json)
     except ParseError as exc:
         print(f"sylowtab: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ SOCLE_DATA_MISSING = "SOCLE_DATA_MISSING"
 LIE_DEGREE_PATTERN_UNTESTED = "LIE_DEGREE_PATTERN_UNTESTED"
 LAYER_AMBIGUOUS = "LAYER_AMBIGUOUS"
 ABELIAN_TEST_PRECONDITION = "ABELIAN_TEST_PRECONDITION"
+CASE_D_O2_NOT_CENTRAL = "CASE_D_O2_NOT_CENTRAL"
 
 
 @dataclass(frozen=True)
@@ -378,7 +379,9 @@ def _case_p2_component(t, p, o_p, o_upper, S, semis, res):
     """Case D (p = 2): F*(G) = O_2 x S x T with T a single component of
     type Alt(7) or PSL(2,q), q a square with q = 9 mod 16, and
     |O^{2'}(G)| = 2 |F*(G)|; certify by a 2-element class outside F*
-    with full-2-part centralizer."""
+    with full-2-part centralizer.  As in case B, O_2(G) must lie in Z(P):
+    every class of O_2(G) needs a full-2-part centralizer (which makes
+    O_2(G) abelian); without that the case answers unknown, never yes."""
     if p != 2:
         return
     for T, rec in semis:
@@ -397,6 +400,12 @@ def _case_p2_component(t, p, o_p, o_upper, S, semis, res):
             if c in fstar.members or not is_p_element(t, c, 2):
                 continue
             if valuation(centralizer_order(t, c), 2) == vg:
+                if any(valuation(centralizer_order(t, z), 2) != vg for z in o_p.members):
+                    res.unknown.append(f"{CASE_D_O2_NOT_CENTRAL}: p2-component case:"
+                                       f" component {rec.simple}, O_2(G) of order"
+                                       f" {o_p.order} has a class without full"
+                                       f" 2-part centralizer")
+                    return
                 res.yes = _yes(f"p2-component case: component {rec.simple},"
                                f" 2-element class {c} outside F*(G) with"
                                f" full 2-part centralizer")

@@ -2,27 +2,29 @@
 
 Class-multiplication matrices are counted only for the classes the split
 needs (Schneider's refinement): the smallest classes first, with more
-added while the Krylov matrix shows characters still unseparated.  Each
-is counted over the elements of its class with one right multiplication
-per class representative, composed from the generators' index
-permutations along the representative's word (see perm.py).  Their
-simultaneous eigenvectors are found over GF(l) for a prime
-l = 1 (mod exp(G)) large enough to make integer lifting unique
-(l > 2*sqrt(|G|)) and to make a random split likely (l >= k^2, k the
-number of classes), and the character values are lifted to cyclotomic
-integers through a discrete Fourier inversion over power classes.  The
-class matrices never counted are never checked, so the lifted table must
-pass row and column orthogonality (`chartab.validate`) before it is
-returned.
+added while the split shows characters still unseparated.  Each is
+counted over the elements of its class with one right multiplication per
+class representative, composed from the generators' index permutations
+along the representative's word (see perm.py).  Their simultaneous
+eigenvectors are found over GF(l) for a prime l = 1 (mod exp(G)) large
+enough to make integer lifting unique (l > 2*sqrt(|G|)) and to make a
+random split likely (l >= k^2, k the number of classes), and the
+character values are lifted to cyclotomic integers through a discrete
+Fourier inversion over power classes.  The class matrices never counted
+are never checked, so the lifted table must pass row and column
+orthogonality (`chartab.validate`) before it is returned.
 
-The GF(l) work is integer numpy products on k x k matrices: one Krylov
-matrix of a random combination of the class matrices, one elimination
-for its minimal polynomial, all eigenvectors in one product, and per
-class one product with the DFT matrix and one with the matrix of the
-powers of zeta_o on the power basis.  Arrays are int64 when
-k * (l-1)^2 (o * (l-1)^2 for a DFT of size o) is below 2^63, and
-Python ints otherwise, with the same code.  Each distinct lifted value
-is built as one Cyc, so it is canonicalized once.
+The GF(l) stage follows Dixon (Numer. Math. 10, 1967) with integer
+numpy products on k x k matrices and no polynomial arithmetic.  A random
+combination M of the class matrices is diagonalizable with the central
+characters as eigenvectors, and a random vector is split into its
+eigen-components by power-character projectors built from
+(M + aI)^((l-1)/r), r | l - 1.  The lift makes per element order one
+product with the DFT matrix and one with the matrix of the powers of
+zeta_o on the power basis.  Arrays are int64 when
+k * (l-1)^2 (o * (l-1)^2 for a DFT of size o) is below 2^63, and Python
+ints otherwise, with the same code.  Each distinct lifted value is built
+as one Cyc, so it is canonicalized once.
 """
 
 from __future__ import annotations
@@ -71,106 +73,19 @@ def class_matrices(g: PermGroup, rows=None) -> np.ndarray:
     return A
 
 
-# -- GF(l) polynomial and matrix helpers ------------------------------
+# -- GF(l) helpers ----------------------------------------------------
 
 
-def _solve_mod(K, l):
-    """Gauss-Jordan elimination of the k x (k+1) matrix K mod the prime l:
-    (c, r) with c the solution of K[:, :k] c = K[:, k], or None when
-    K[:, :k] is singular, and r its first column with no pivot (k if
-    none).  For a Krylov matrix r is its rank.  Each step is one
-    outer-product update of the whole matrix."""
-    K = K.copy()
-    k = K.shape[0]
-    for c in range(k):
-        nz = np.flatnonzero(K[c:, c])
-        if not nz.size:
-            return None, c
-        r = c + int(nz[0])
-        if r != c:
-            K[[c, r]] = K[[r, c]]
-        K[c] = K[c] * pow(int(K[c, c]), -1, l) % l
-        col = K[:, c].copy()
-        col[c] = 0
-        K = (K - col[:, None] * K[c]) % l
-    return K[:, k], k
-
-
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_divmod(a, b, l):
-    a = list(a)
-    db, lead_inv = len(b) - 1, pow(b[-1], -1, l)
-    q = [0] * max(0, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * lead_inv % l
-        if c:
-            q[i - db] = c
-            for j, bj in enumerate(b):
-                a[i - db + j] = (a[i - db + j] - c * bj) % l
-    return _poly_trim(q), _poly_trim(a[:db])
-
-def _poly_gcd(a, b, l):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b, l)[1]
-    if a:
-        inv = pow(a[-1], -1, l)
-        a = [c * inv % l for c in a]
-    return a
-
-
-def _poly_mulmod(a, b, f, l):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % l
-    return _poly_divmod(out, f, l)[1]
-
-
-def _poly_powmod(base, e, f, l):
-    acc = [1]
-    base = _poly_divmod(list(base), f, l)[1]
-    while e:
+def _matrix_power(B, e, l):
+    """B^e mod l for e >= 1, by repeated squaring."""
+    acc = None
+    while True:
         if e & 1:
-            acc = _poly_mulmod(acc, base, f, l)
-        base = _poly_mulmod(base, base, f, l)
+            acc = B if acc is None else acc @ B % l
         e >>= 1
-    return acc
-
-
-def _roots_of_split_poly(f, l, rng):
-    """All roots of the monic f, or None if f does not split into distinct
-    linear factors over GF(l): exactly when x^l = x mod f, since x^l - x is
-    the product of all x - a."""
-    f = _poly_trim(list(f))
-    if _poly_powmod([0, 1], l, f, l) != _poly_divmod([0, 1], f, l)[1]:
-        return None
-    roots = []
-
-    def split(poly):
-        if len(poly) <= 1:
-            return
-        if len(poly) == 2:
-            roots.append((-poly[0]) * pow(poly[1], -1, l) % l)
-            return
-        while True:
-            a = rng.randrange(l)
-            h = _poly_powmod([a, 1], (l - 1) // 2, poly, l)
-            h = _poly_trim([(c - (1 if i == 0 else 0)) % l for i, c in enumerate(h)] or [l - 1])
-            gcd = _poly_gcd(h, poly, l)
-            if 0 < len(gcd) - 1 < len(poly) - 1:
-                split(gcd)
-                split(_poly_divmod(poly, gcd, l)[0])
-                return
-
-    split(f)
-    return roots
+        if not e:
+            return acc
+        B = B @ B % l
 
 
 def _sqrt_mod(a, l):
@@ -227,18 +142,21 @@ def _choose_ell(exponent: int, order: int, k: int, skip: int = 0) -> int:
 #: small counts every class matrix
 SCAN_BUDGET = 2048
 
+#: rounds of the eigenvector split before it gives up
+SPLIT_ROUNDS = 32
+
 
 class _Unseparated(Exception):
-    """The class matrices in use leave the Krylov matrix singular, of rank
-    args[0]: they may not separate the characters."""
+    """The class matrices in use split a random vector into only args[0] < k
+    eigenvectors: they may not separate the characters."""
 
 
 def dixon_table(g: PermGroup, seed: int = 1, max_attempts: int = 8) -> CharTable:
     """The exact character table of an enumerated permutation group.
 
     The split starts from the class matrices of the smallest classes, by
-    size then index, whose sizes sum to at most SCAN_BUDGET.  A Krylov
-    matrix of rank r < k shows only r distinct eigenvalues among k
+    size then index, whose sizes sum to at most SCAN_BUDGET.  A split into
+    r < k eigenvectors shows only r distinct eigenvalues among k
     characters; then the next 2 * (k - r) classes are added.  Any split
     into k distinct eigenvalues gives the true central characters, so the
     table does not depend on the classes used; a table that fails
@@ -290,47 +208,62 @@ def dixon_table(g: PermGroup, seed: int = 1, max_attempts: int = 8) -> CharTable
 def _common_eigenvectors(A, k, l, rng):
     """The k common eigenvectors of the class matrices A (r, k, k) mod l,
     as the columns of a k x k array normalized to 1 in row 0, or None.
-    With r < k class matrices a singular Krylov matrix raises _Unseparated.
+    With fewer than k class matrices, a split into fewer than k
+    eigenvectors raises _Unseparated.
 
-    M = sum_i c_i A[i] for random c; the Krylov matrix [v0, M v0, ..,
-    M^k v0] of a random v0 has rank k exactly when the minimal polynomial
-    h of v0 has degree k, and then one elimination gives h.  If h splits
-    into k distinct roots, every eigenspace of M is one-dimensional and
-    q_lam(M) v0 with q_lam = h / (x - lam) spans the lam-eigenspace, so
-    all eigenvectors are one product of the Krylov basis with the
-    quotients' coefficients.
+    M = sum_i c_i A[i] for random c is diagonalizable, since the class
+    algebra over GF(l) is split semisimple.  A random v0 is split into its
+    components in the eigenspaces of M by power-character projectors: for
+    random a and r | l - 1, B = (M + aI)^((l-1)/r) acts as the r-th root
+    of unity (lam + a)^((l-1)/r) on the eigenspace of lam, and as 0 on
+    that of lam = -a.  So for i < r, sum_{j=1..r} zeta_r^(-ij) B^j w is r
+    times the part of w in the eigenspaces where B is zeta_r^i, and
+    w - B^r w is the part in the eigenspace of -a (the powers start at B^1
+    so that this part stays out of the others).  Each round replaces
+    every column w by its nonzero parts and moves the columns that M maps
+    to a multiple of themselves to the result: one per distinct
+    eigenvalue of M met by v0.  When there are k of them, every
+    eigenspace of M is a line, and so also one of each class matrix.
     """
     dt = int_dtype(k * (l - 1) ** 2)
     A = A.astype(dt) % l
     coeffs = np.array([rng.randrange(l) for _ in range(len(A))], dtype=dt)
     M = np.tensordot(coeffs, A, axes=1) % l
-    K = np.empty((k, k + 1), dtype=dt)
-    K[:, 0] = [rng.randrange(l) for _ in range(k)]
-    for j in range(k):
-        K[:, j + 1] = M @ K[:, j] % l
-    c, rank = _solve_mod(K, l)
-    if c is None:
+    root = primitive_root(l)
+    W = np.array([[rng.randrange(l)] for _ in range(k)], dtype=dt)
+    found = []
+    for _ in range(SPLIT_ROUNDS):
+        MW = M @ W % l
+        piv = (W != 0).argmax(axis=0), np.arange(W.shape[1])
+        eig = (MW * W[piv] % l == W * MW[piv] % l).all(axis=0)
+        found.append(W[:, eig])
+        W = W[:, ~eig]
+        if not W.shape[1]:
+            break
+        # r | l - 1 with r * w <= 2k (or r = 2): the r products B^j W of
+        # the w columns then cost at most two k x k products, against about
+        # 2 log2(l) for B itself
+        r = max(d for d in range(2, max(2, 2 * k // W.shape[1]) + 1) if (l - 1) % d == 0)
+        zinv = pow(root, (l - 1) // r * (r - 1), l)  # zeta_r^-1
+        Z = np.array([pow(zinv, e, l) for e in range(r)], dtype=dt)[
+            np.outer(np.arange(r), np.arange(1, r + 1)) % r]  # Z[i, j-1] = zeta_r^(-ij)
+        B = _matrix_power((M + rng.randrange(l) * np.eye(k, dtype=dt)) % l, (l - 1) // r, l)
+        Y = [W]
+        for _ in range(r):
+            Y.append(B @ Y[-1] % l)
+        parts = np.tensordot(Z, np.stack(Y[1:]), axes=1) % l
+        W = np.concatenate([*parts, (W - Y[-1]) % l], axis=1)
+        W = W[:, (W != 0).any(axis=0)]
+    else:
+        return None
+    V = np.concatenate(found, axis=1)
+    if V.shape[1] < k:
         if len(A) < k:
-            raise _Unseparated(rank)
+            raise _Unseparated(V.shape[1])
         return None
-    h = [(-int(x)) % l for x in c] + [1]
-    roots = _roots_of_split_poly(h, l, rng)
-    if roots is None or len(roots) != k:
-        return None
-    lam = np.array(sorted(roots), dtype=dt)
-    Q = np.empty((k, k), dtype=dt)  # column j: coefficients of h / (x - lam_j)
-    Q[k - 1] = 1
-    for i in range(k - 1, 0, -1):
-        Q[i - 1] = (h[i] + lam * Q[i]) % l
-    V = K[:, :k] @ Q % l
     if (V[0] == 0).any():
         return None
-    V = V * np.array([pow(int(x), -1, l) for x in V[0]], dtype=dt) % l
-    for Ai in A:  # V[m, j] = omega_j(class m): an eigenvector of every A[i]
-        W = Ai @ V % l
-        if (W != W[0] * V % l).any():
-            return None
-    return V
+    return V * np.array([pow(int(x), -1, l) for x in V[0]], dtype=dt) % l
 
 
 def _lift_characters(g, cd, V, inv_class, l):
@@ -340,10 +273,11 @@ def _lift_characters(g, cd, V, inv_class, l):
     The values at class m of order o are the discrete Fourier transform
     over GF(l) of the characters at the powers of its representative (the
     classes ``cd.power_classes[m]``, found by the oracle in one lookup for
-    all classes): one product with the o x o DFT matrix for all
-    characters, then one product with the o x phi(o) matrix of zeta_o^j on
-    the power basis, so equal values give equal rows and each distinct row
-    is one Cyc of conductor o.
+    all classes).  All classes of one order o are stacked: one product
+    with the o x o DFT matrix for all of them and all characters, then one
+    product with the o x phi(o) matrix of zeta_o^j on the power basis, so
+    equal values give equal rows and each distinct row is one Cyc of
+    conductor o.
     """
     k = V.shape[1]
     n = g.order
@@ -366,27 +300,33 @@ def _lift_characters(g, cd, V, inv_class, l):
         return None
     D = np.array(degrees, dtype=dt)
     chis = X * D % l  # chis[m, i] = chi_i(class m) mod l
-    w = primitive_root(l)
-    cols = []
-    memo = {}
+    root = primitive_root(l)
+    by_order = {}
     for m, o in enumerate(orders):
-        zinv = pow(w, (l - 1) // o * (o - 1), l)  # zeta_o^-1 in GF(l)
+        by_order.setdefault(o, []).append(m)
+    cols = [None] * len(orders)
+    memo = {}
+    for o, ms in by_order.items():
+        zinv = pow(root, (l - 1) // o * (o - 1), l)  # zeta_o^-1 in GF(l)
         zpow = np.array([pow(zinv, e, l) for e in range(o)], dtype=dt)
         F = zpow[np.outer(np.arange(o), np.arange(o)) % o]  # F[s, j] = zeta_o^(-js)
-        C = chis[cd.power_classes[m]].T @ F % l * pow(o, -1, l) % l
-        if (C > D[:, None]).any() or (C.sum(axis=1) != D).any():
+        P = np.array([cd.power_classes[m] for m in ms])
+        # C[c, i, j]: coefficient of zeta_o^j in chi_i at class ms[c]
+        C = chis[P].transpose(0, 2, 1) @ F % l * pow(o, -1, l) % l
+        if (C > D[:, None]).any() or (C.sum(axis=2) != D).any():
             return None
         # rows of sum_j C[i, j] zeta_o^j on the power basis; each row of C
         # sums to a degree, so entries stay below max(D) * max|R|
         R = power_matrix(o)
         rt = int_dtype(max(degrees) * int(np.abs(R).max()))
-        col = []
-        for row in (C.astype(rt) @ R.astype(rt)).tolist():
+        values = []
+        for row in (C.reshape(-1, o).astype(rt) @ R.astype(rt)).tolist():
             key = (o, tuple(row))
             if key not in memo:
-                memo[key] = Cyc(o, {j: Fraction(c) for j, c in enumerate(row) if c})
-            col.append(memo[key])
-        cols.append(col)
+                memo[key] = Cyc(o, {j: Fraction(x) for j, x in enumerate(row) if x})
+            values.append(memo[key])
+        for c, m in enumerate(ms):
+            cols[m] = values[c * k:(c + 1) * k]
     rows = sorted(zip(*cols), key=_char_sort_key)
     if any(v != Cyc.one() for v in rows[0]):
         # the trivial character must sort first (degree 1, all values 1)

@@ -2,8 +2,9 @@
 
 A corpus entry without its table fixture makes ``make_inputs`` raise for
 ``analyze-tables``, and one without golden rows counts every row of that
-group as failed; either way a benchmark run dies or reports nothing.
-These tests read perfbench/ and change nothing there.
+group as failed; either way a benchmark run dies or reports nothing.  The
+tracer wraps sylowtab functions by name, so renaming one of them kills a
+traced run.  These tests read perfbench/ and change nothing there.
 """
 
 import sys
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from sylowtab import dixon
 from sylowtab.corpus import corpus_entries
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -38,3 +41,23 @@ def test_every_corpus_pair_has_a_golden_row():
     for entry in corpus_entries():
         for p in entry.primes():
             assert (entry.name, p) in golden, (entry.name, p)
+
+
+# the smallest item of each workload
+TRACED_ITEMS = {"oracle-large": "M11", "oracle-small": "S4", "analyze-tables": "S4"}
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_traced_pass_runs_one_item_of_every_workload(workload):
+    item = next(i for i in workloads.make_inputs(workload, 1)
+                if i.name == TRACED_ITEMS[workload])
+    split = dixon._common_eigenvectors
+    tr = tracing.Tracer()
+    with tracing.traced(tr):
+        res = workloads.run_pass(workload, [item], workloads.load_golden(),
+                                 around_item=lambda i: tr.item_span(i.name))
+    assert dixon._common_eigenvectors is split  # the wrappers are removed
+    assert res.attempted and not res.failed
+    metrics = tracing.layer_metrics(tr)
+    assert metrics["serialize.parse_s"][0] > 0
+    assert (metrics["dixon.attempts"][0] > 0) == (workload != "analyze-tables")

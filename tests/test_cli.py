@@ -56,6 +56,21 @@ def test_oracle_cross_check(sl29_group_file, capsys):
     assert "thmA=yes" in out and "thmA_check=MATCH" in out
 
 
+def test_oracle_prints_the_reduction_chains_of_analyze(corpus, tmp_path, capsys):
+    e = corpus.entry("A4xC3")
+    path = tmp_path / "a4xc3.json"
+    path.write_text(emit_group(GroupDocument(e.degree, e.generators, e.name, e.expected_order)))
+    assert main(["oracle", str(path), "--p", "2"]) == 0
+    oracle = capsys.readouterr().out.splitlines()
+    table = tmp_path / "a4xc3_table.json"
+    table.write_text(emit_table(corpus.table("A4xC3")))
+    assert main(["analyze", str(table), "--p", "2"]) == 0
+    analyze = capsys.readouterr().out.splitlines()
+    assert "A4xC3 p=2 thmA:   quotient by O_2'(G) of order 3" in oracle
+    assert [ln for ln in oracle if not ln.startswith(("#", "group="))] == \
+        [ln for ln in analyze if not ln.startswith(("#", "group="))]
+
+
 def test_oracle_rejects_wrong_pin(corpus, tmp_path, capsys):
     e = corpus.entry("S4")
     doc = GroupDocument(e.degree, e.generators, e.name, expected_order=25)

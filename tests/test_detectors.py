@@ -2,8 +2,8 @@ import pytest
 
 from sylowtab.chartab import normal_lattice, quotient_table
 from sylowtab.corpus import _direct_product
-from sylowtab.detectors import (ABELIAN_TEST_PRECONDITION, LIE_DEGREE_PATTERN_UNTESTED,
-                                SOCLE_DATA_MISSING, Verdict,
+from sylowtab.detectors import (ABELIAN_TEST_PRECONDITION, CASE_D_O2_NOT_CENTRAL,
+                                LIE_DEGREE_PATTERN_UNTESTED, SOCLE_DATA_MISSING, Verdict,
                                 _almost_simple_commutator, compute_K,
                                 detect_center_index_p2,
                                 detect_commutator_index_p2,
@@ -178,3 +178,29 @@ def test_unknown_reason_names_its_code_once(corpus):
     assert v.answer == "unknown"
     assert v.reason.startswith(f"{ABELIAN_TEST_PRECONDITION}: ")
     assert v.reason.count(ABELIAN_TEST_PRECONDITION) == 1
+
+
+def _times_s6(corpus, name):
+    a, s6 = corpus.entry(name), corpus.entry("S6")
+    g = PermGroup(*_direct_product([(a.degree, [list(x) for x in a.generators]),
+                                    (s6.degree, [list(x) for x in s6.generators])]),
+                  name=f"{name}xS6")
+    return g, dixon_table(g)
+
+
+# O_2(G) = D8, Q8 or SL(2,3)'s Q8 is not central in P: |P:Z(P)| = 16, so
+# case D must not certify; the table alone cannot show "no" here
+@pytest.mark.parametrize("name", ["D8", "Q8", "SL(2,3)"])
+def test_case_d_with_noncentral_o2_is_a_coded_unknown(corpus, name):
+    g, t = _times_s6(corpus, name)
+    assert g.ground_truth(2).center_index == 16
+    v = detect_center_index_p2(t, 2)
+    assert v.answer == "unknown"
+    assert v.reason.startswith(f"{CASE_D_O2_NOT_CENTRAL}: ")
+
+
+def test_case_d_with_central_o2_still_certifies(corpus):
+    g, t = _times_s6(corpus, "C4")
+    assert g.ground_truth(2).center_index == 4
+    v = detect_center_index_p2(t, 2)
+    assert v.answer == "yes" and v.reason.startswith("p2-component case")

@@ -138,29 +138,68 @@ def test_python_int_path_above_int64(corpus, name, start, split_dtype):
     assert dixon._lift_characters(g, cd, V, inv_class, l) == dixon_table(g).chars
 
 
-def test_solve_mod_detects_singular_krylov_matrix():
-    K = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
-    assert dixon._solve_mod(K, 7) == (None, 1)  # column 1 = 2 * column 0
-    K = np.array([[1, 2, 3], [3, 4, 5]], dtype=np.int64)
-    c, rank = dixon._solve_mod(K, 7)
-    assert rank == 2 and ((K[:, :2] @ c - K[:, 2]) % 7 == 0).all()
+class _ScriptedRng:
+    """A Random whose first randrange results are given."""
+
+    def __init__(self, first, seed=0):
+        self.first = list(first)
+        self.rest = random.Random(seed)
+
+    def randrange(self, n):
+        return self.first.pop(0) % n if self.first else self.rest.randrange(n)
 
 
-def test_split_test_rejects_repeated_roots_and_keeps_root_zero():
+def _diagonalizable(eigenvalues, l):
+    """(S diag(eigenvalues) S^-1 mod l, S) for a unit upper triangular S
+    whose row 0 has no zero: the columns of S, scaled to 1 in row 0, are
+    the eigenvectors that the split returns."""
+    k = len(eigenvalues)
+    N = np.triu(np.arange(2, k * k + 2).reshape(k, k) % l, 1)
+    S = np.eye(k, dtype=np.int64) + N
+    S_inv, term = np.eye(k, dtype=np.int64), np.eye(k, dtype=np.int64)
+    for _ in range(k - 1):  # (I + N)^-1 = sum_i (-N)^i
+        term = -term @ N % l
+        S_inv = (S_inv + term) % l
+    scale = np.array([pow(int(x), -1, l) for x in S[0]])
+    return S * np.array(eigenvalues) @ S_inv % l, S * scale % l
+
+
+def _columns(V):
+    return sorted(tuple(int(x) for x in col) for col in V.T)
+
+
+@pytest.mark.parametrize("eigenvalues", [[0, 1, 12], [3, 0, 5, 9, 11]])
+def test_split_finds_eigenvalue_zero_and_minus_a(eigenvalues):
+    # every first-round a, so that each eigenvalue (0 included) is -a once
+    l = 13
+    M, S = _diagonalizable(eigenvalues, l)
+    k = len(eigenvalues)
+    for a in range(l):
+        rng = _ScriptedRng([1] + [1 + i for i in range(k)] + [a], seed=a)
+        V = dixon._common_eigenvectors(M[None], k, l, rng)
+        assert V is not None and _columns(V) == _columns(S), a
+
+
+def test_split_of_a_repeated_eigenvalue_counts_distinct_eigenvalues():
     l = 101
-    rng = random.Random(0)
+    M, _ = _diagonalizable([2, 2, 5, 7], l)
+    with pytest.raises(dixon._Unseparated) as exc:
+        dixon._common_eigenvectors(M[None], 4, l, _ScriptedRng([1]))
+    assert exc.value.args == (3,)
+    # with a class matrix per class, a repeated eigenvalue is a failed attempt
+    assert dixon._common_eigenvectors(np.stack([M] * 4), 4, l, random.Random(0)) is None
 
-    def monic(roots):  # prod (x - r), coefficients from the constant term up
-        f = [1]
-        for r in roots:
-            f = [(a - r * b) % l for a, b in zip([0] + f, f + [0])]
-        return f
 
-    assert dixon._roots_of_split_poly(monic([0, 0, 5]), l, rng) is None
-    assert dixon._roots_of_split_poly(monic([7, 7, 3]), l, rng) is None
-    assert dixon._roots_of_split_poly([l - 2, 0, 1], l, rng) is None  # 2 is no square mod 101
-    for roots in ([0, 4], [0, 3, 9, 50], [1, 2, 3, 100]):
-        assert sorted(dixon._roots_of_split_poly(monic(roots), l, rng)) == roots
+def test_split_of_a_jordan_block_gives_up_within_the_round_bound(monkeypatch):
+    l = 101
+    M = np.array([[4, 1, 0], [0, 4, 0], [0, 0, 9]], dtype=np.int64)
+    powers = []
+    matrix_power = dixon._matrix_power
+    monkeypatch.setattr(dixon, "_matrix_power",
+                        lambda B, e, l: powers.append(e) or matrix_power(B, e, l))
+    A = np.stack([M] * 3)
+    assert dixon._common_eigenvectors(A, 3, l, random.Random(0)) is None
+    assert 0 < len(powers) <= dixon.SPLIT_ROUNDS
 
 
 def test_dixon_makes_no_cyc_arithmetic(corpus, monkeypatch):
