@@ -19,7 +19,7 @@ from math import lcm
 
 import numpy as np
 
-from .chartab import CharTable, int_dtype, int_values, is_p_element
+from .chartab import CharTable, int_dtype, int_values
 from .gfpm import CycReducer
 from .numutil import valuation
 
@@ -97,13 +97,3 @@ def abelian_sylow_test(t: CharTable, p: int) -> bool:
     (the Height Zero theorem for principal blocks)."""
     bp = block_partition(t, p)
     return all(t.degree(i) % p for i in bp.principal())
-
-
-def has_small_centralizer_p_element(t: CharTable, p: int) -> bool:
-    """Is there a p-element class whose centralizer order has p-part <= p^2?"""
-    from .chartab import centralizer_order
-
-    for c in range(t.k):
-        if is_p_element(t, c, p) and valuation(centralizer_order(t, c), p) <= 2:
-            return True
-    return False

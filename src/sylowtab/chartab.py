@@ -3,8 +3,7 @@
 A CharTable stores class sizes, element orders, power maps and the full
 matrix of irreducible character values (exact cyclotomics).  From that we
 derive centralizer orders, kernels, the normal subgroup lattice, quotient
-tables, the standard p-cores, the derived subgroup, the center, and a few
-structural tests (nilpotency of a normal subgroup, cyclic Sylow).
+tables, the standard p-cores, power classes and the cyclic-Sylow test.
 
 Normal subgroups are unions of conjugacy classes and are represented by a
 frozen set of class indices plus the subgroup order (NormalSet).
@@ -58,9 +57,6 @@ class NormalSet:
 
     def __le__(self, other: "NormalSet") -> bool:
         return self.members <= other.members
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
 
 class CharTable:
@@ -421,14 +417,6 @@ def minimal_normals(t: CharTable) -> list[NormalSet]:
     return sorted(out, key=lambda ns: (ns.order, sorted(ns.members)))
 
 
-def derived_subgroup(t: CharTable) -> NormalSet:
-    linear = [i for i in range(t.k) if t.degree(i) == 1]
-    members = frozenset(range(t.k))
-    for i in linear:
-        members &= kernel_of(t, i).members
-    return NormalSet(members, t.subset_order(members))
-
-
 def power_class(t: CharTable, c: int, m: int) -> int:
     """Class of x^m for x in class c, composing the power maps of m's prime
     factors.  m is not reduced modulo the element order: 13 mod 8 = 5 need
@@ -471,20 +459,6 @@ def core_subgroups(t: CharTable, p: int) -> tuple[NormalSet, NormalSet, NormalSe
     if not all(o_upper <= ns for ns in coind):
         raise ValueError("no unique smallest normal subgroup of p'-index (invalid table)")
     return o_pprime, o_p, o_upper
-
-
-def is_nilpotent_normal(t: CharTable, N: NormalSet) -> bool:
-    """N nilpotent iff it is the direct product of its Sylow subgroups,
-    i.e. its r-elements form a normal subgroup of full r-part order for
-    every prime r | |N|."""
-    lat_members = {ns.members for ns in normal_lattice(t)}
-    for r in prime_divisors(N.order):
-        relts = frozenset(c for c in N.members if is_p_element(t, c, r))
-        if relts not in lat_members:
-            return False
-        if t.subset_order(relts) != p_part(N.order, r):
-            return False
-    return True
 
 
 def has_cyclic_sylow(t: CharTable, p: int) -> bool:

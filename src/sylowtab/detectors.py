@@ -9,14 +9,17 @@ record the chain of quotient reductions that was applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from math import isqrt
+
+import numpy as np
 
 from .blocks import abelian_sylow_test
-from .chartab import (CharTable, NormalSet, centralizer_order, core_subgroups,
-                      has_cyclic_sylow, is_p_element, kernel_of,
-                      minimal_normals, normal_join, normal_lattice,
-                      quotient_table)
-from .numutil import p_part, valuation
+from .chartab import (CharTable, NormalSet, _row_sums, centralizer_order,
+                      core_subgroups, has_cyclic_sylow, int_values,
+                      is_p_element, kernel_of, minimal_normals, normal_join,
+                      normal_lattice, quotient_table)
+from .numutil import is_prime_power, p_part, valuation
 from .simplerec import (AmbiguousRecognition, RecognizedNormal, SimpleId,
                         extension_sylow_lookup, is_almost_simple,
                         out_has_unique_order_p_subgroup,
@@ -101,20 +104,13 @@ def detect_commutator_index_p2(t: CharTable, p: int) -> Verdict:
     if valuation(t.group_order, p) < 2:
         return _no(f"|P| < {p}^2")
     reductions: list[str] = []
-    for _ in range(64):
-        opp, _, _ = core_subgroups(t, p)
-        if opp.order > 1:
-            reductions.append(f"quotient by O_{p}'(G) of order {opp.order}")
-            t = quotient_table(t, opp)
-            continue
+    while True:  # each quotient is by a nontrivial subgroup, so this ends
+        t = _quotient_oppp(t, p, reductions)
         K = compute_K(t, p)
-        if K.order > 1 and K.order < t.group_order:
-            reductions.append(f"quotient by K = core of P' of order {K.order}")
-            t = quotient_table(t, K)
-            continue
-        break
-    else:  # pragma: no cover
-        raise RuntimeError("reduction loop did not terminate")
+        if not 1 < K.order < t.group_order:
+            break
+        reductions.append(f"quotient by K = core of P' of order {K.order}")
+        t = quotient_table(t, K)
     v = valuation(t.group_order, p)
     if v < 2:
         return _no("reduced group has |P:P'| <= |P| < p^2", reductions)
@@ -149,13 +145,8 @@ def _almost_simple_commutator(t: CharTable, p: int, socle: SimpleId,
             f"Sylow inside socle {socle}: tag {facts.tag}")
     if p > 2 and vG - vS == 1 and socle.family in ("PSL", "PSU"):
         k, q = socle.params
-        q0 = min(f for f in range(2, q + 1) if q % f == 0)  # defining prime
+        q0, f = is_prime_power(q)  # q0 is the defining prime
         eps = 1 if socle.family == "PSL" else -1
-        f = 0
-        qq = q
-        while qq > 1:
-            qq //= q0
-            f += 1
         if k % p == 0 and (q - eps) % p == 0 and f % p == 0:
             if k != p:
                 return _no(f"socle {socle}: rank {k} != {p}")
@@ -215,51 +206,33 @@ def _lie_degree_pattern(t: CharTable, socle: SimpleId) -> Verdict:
 
 
 def detect_normal_p_abelian(t: CharTable, N: NormalSet, p: int) -> bool:
-    """Whether the normal p-subgroup N is abelian, provided the quotient
-    G/N has a cyclic Sylow p-subgroup (required; rejected otherwise).
+    """Whether the normal p-subgroup N is abelian.
 
-    Characters are grouped by nonvanishing inner products of their
-    restrictions to N; N is abelian exactly when the minimal degrees of
-    the groups sum to |N|.
+    N is abelian outright when |N| <= p^2 or N lies in Z(G) (all its
+    classes have size 1).  Otherwise the quotient G/N must have a cyclic
+    Sylow p-subgroup (rejected if not), and characters are grouped by
+    nonvanishing inner products of their restrictions to N: by Clifford's
+    theorem two restrictions share a constituent exactly when they lie
+    over one G-orbit of Irr(N), so the groups are the distinct rows of
+    that pattern, and N is abelian exactly when their minimal degrees sum
+    to |N|.  The inner products are the table's row sums with the sizes
+    of the classes outside N set to 0.
     """
     if N.order != p_part(N.order, p):
         raise ValueError("N is not a p-subgroup")
-    if N.is_trivial():
+    if N.order <= p * p or all(t.classes[c].size == 1 for c in N.members):
         return True
     if not has_cyclic_sylow(quotient_table(t, N), p):
         raise ValueError("quotient lacks a cyclic Sylow p-subgroup")
-    parent = list(range(t.k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(t.k):
-        for j in range(i + 1, t.k):
-            if find(i) == find(j):
-                continue
-            s = None
-            for c in N.members:
-                term = t.classes[c].size * (t.chars[i][c] * t.chars[j][c].conjugate())
-                s = term if s is None else s + term
-            if not s.is_zero():
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(t.k):
-        groups.setdefault(find(i), []).append(i)
-    total = sum(min(t.degree(i) for i in members) for members in groups.values())
-    return total == N.order
+    iv = int_values(t)
+    sizes = iv.sizes.copy()
+    sizes[[c for c in range(t.k) if c not in N.members]] = 0
+    linked = (_row_sums(replace(iv, sizes=sizes)) != 0).any(axis=2)
+    groups = {tuple(np.flatnonzero(row)) for row in linked}
+    return sum(min(t.degree(i) for i in g) for g in groups) == N.order
 
 
 # -- |P:Z(P)| = p^2 ---------------------------------------------------
-
-
-@dataclass
-class _CaseResults:
-    yes: Verdict | None = None
-    unknown: list[str] = field(default_factory=list)
 
 
 def detect_center_index_p2(t: CharTable, p: int) -> Verdict:
@@ -279,47 +252,54 @@ def detect_center_index_p2(t: CharTable, p: int) -> Verdict:
         semis = _semisimple_minimals(t)
     except AmbiguousRecognition as exc:
         return _unknown(LAYER_AMBIGUOUS, str(exc), reductions)
-    res = _CaseResults()
     _, o_p, o_upper = core_subgroups(t, p)
+    unknown: list[str] = []  # reasons, each starting with its code
     abelian_parts: list[NormalSet] = []
     for N, rec in semis:
         ab = _minimal_sylow_abelian(t, N, rec, p)
         if ab is None:
-            res.unknown.append(f"{SOCLE_DATA_MISSING}: Sylow abelianness of"
-                               f" component {rec.simple} at p={p}")
+            unknown.append(f"{SOCLE_DATA_MISSING}: Sylow abelianness of"
+                           f" component {rec.simple} at p={p}")
         elif ab:
             abelian_parts.append(N)
-    S = normal_join(t, abelian_parts) if abelian_parts else t.trivial_subgroup()
-    for case in (_case_normal_sylow, _case_quasisimple, _case_index_p,
-                 _case_p2_component):
-        case(t, p, o_p, o_upper, S, semis, res)
-        if res.yes is not None:
-            return Verdict("yes", res.yes.reason, tuple(reductions))
-    if res.unknown:  # each entry already starts with its code
-        return Verdict("unknown", "; ".join(res.unknown), tuple(reductions))
+    S = normal_join(t, abelian_parts)
+    cases = (lambda: _case_normal_sylow(t, p, o_p, o_upper, S),
+             lambda: _case_quasisimple(t, p, o_p, o_upper, S),
+             lambda: _case_index_p(t, p, o_p, S),
+             lambda: _case_p2_component(t, o_p, o_upper, S, semis) if p == 2 else None)
+    for case in cases:
+        verdict = case()
+        if verdict is None:
+            continue
+        if verdict.answer == "yes":
+            return _yes(verdict.reason, reductions)
+        unknown.append(verdict.reason)
+    if unknown:
+        return Verdict("unknown", "; ".join(unknown), tuple(reductions))
     return _no("no case pattern of the four-way analysis certifies", reductions)
 
 
-def _case_normal_sylow(t, p, o_p, o_upper, S, semis, res):
+def _case_normal_sylow(t, p, o_p, o_upper, S) -> Verdict | None:
     """Case A: O^{p'}(G) = O_p(G) x S with every component of S having an
     abelian Sylow p; then count the p-elements with full-p-part centralizer
     in G/S (that count is |Z(P)|) and compare against |P| / p^2."""
     if o_p.order * S.order != o_upper.order:
-        return
+        return None
     if normal_join(t, [o_p, S]).members != o_upper.members:
-        return
+        return None
     if len(o_p.members & S.members) != 1:
-        return
+        return None
     t2 = quotient_table(t, S) if S.order > 1 else t
     vg = valuation(t2.group_order, p)
     count = sum(t2.classes[c].size for c in range(t2.k)
                 if is_p_element(t2, c, p)
                 and valuation(centralizer_order(t2, c), p) == vg)
     if count * p * p == o_p.order:
-        res.yes = _yes(f"normal-Sylow case: |Z(P)| = {count} = |P|/p^2")
+        return _yes(f"normal-Sylow case: |Z(P)| = {count} = |P|/p^2")
+    return None
 
 
-def _case_quasisimple(t, p, o_p, o_upper, S, semis, res):
+def _case_quasisimple(t, p, o_p, o_upper, S) -> Verdict | None:
     """Case B: O^{p'}(G) = (O_p * C) x S with C perfect and quasisimple-like
     (all proper normals of G inside C are p-groups of order <= p) and
     v_p(|C|) = 3; then |P:Z(P)| = p^2 exactly when O_p(G) is abelian,
@@ -343,53 +323,47 @@ def _case_quasisimple(t, p, o_p, o_upper, S, semis, res):
         if normal_join(t, [o_p, C, S]).members != o_upper.members:
             continue
         vg = valuation(t.group_order, p)
-        abelian = all(valuation(centralizer_order(t, c), p) == vg
-                      for c in o_p.members)
-        if abelian:
-            res.yes = _yes(f"quasisimple case: component of order {C.order}"
-                           f" with p-part p^3, O_p abelian")
-            return
+        if all(valuation(centralizer_order(t, c), p) == vg for c in o_p.members):
+            return _yes(f"quasisimple case: component of order {C.order}"
+                        f" with p-part p^3, O_p abelian")
+    return None
 
 
-def _case_index_p(t, p, o_p, o_upper, S, semis, res):
+def _case_index_p(t, p, o_p, S) -> Verdict | None:
     """Case C: F*(G) = O_p x S with O_p abelian and v_p(|G:F*|) = 1; then
     certify by a p-element class outside F* whose class size has p-part p."""
     fstar = normal_join(t, [o_p, S])
     if o_p.order * S.order != fstar.order:
-        return
+        return None
     vg = valuation(t.group_order, p)
     if vg - valuation(fstar.order, p) != 1:
-        return
+        return None
     try:
         if not detect_normal_p_abelian(t, o_p, p):
-            return
+            return None
     except ValueError as exc:
-        res.unknown.append(f"{ABELIAN_TEST_PRECONDITION}: {exc}")
-        return
+        return _unknown(ABELIAN_TEST_PRECONDITION, str(exc))
     for c in range(t.k):
         if c in fstar.members or not is_p_element(t, c, p):
             continue
         if vg - valuation(centralizer_order(t, c), p) == 1:
-            res.yes = _yes(f"index-p case: p-element class {c} outside F*(G)"
-                           f" with |G:C(x)|_{p} = {p}")
-            return
+            return _yes(f"index-p case: p-element class {c} outside F*(G)"
+                        f" with |G:C(x)|_{p} = {p}")
+    return None
 
 
-def _case_p2_component(t, p, o_p, o_upper, S, semis, res):
+def _case_p2_component(t, o_p, o_upper, S, semis) -> Verdict | None:
     """Case D (p = 2): F*(G) = O_2 x S x T with T a single component of
     type Alt(7) or PSL(2,q), q a square with q = 9 mod 16, and
     |O^{2'}(G)| = 2 |F*(G)|; certify by a 2-element class outside F*
     with full-2-part centralizer.  As in case B, O_2(G) must lie in Z(P):
     every class of O_2(G) needs a full-2-part centralizer (which makes
     O_2(G) abelian); without that the case answers unknown, never yes."""
-    if p != 2:
-        return
     for T, rec in semis:
         if rec.copies != 1 or not _case_d_type(rec.simple):
             continue
-        rest = [N for N, r in semis if N.members != T.members
-                and N.members <= S.members]
-        S2 = normal_join(t, rest) if rest else t.trivial_subgroup()
+        S2 = normal_join(t, [N for N, r in semis if N.members != T.members
+                             and N.members <= S.members])
         fstar = normal_join(t, [o_p, S2, T])
         if o_p.order * S2.order * T.order != fstar.order:
             continue
@@ -401,15 +375,14 @@ def _case_p2_component(t, p, o_p, o_upper, S, semis, res):
                 continue
             if valuation(centralizer_order(t, c), 2) == vg:
                 if any(valuation(centralizer_order(t, z), 2) != vg for z in o_p.members):
-                    res.unknown.append(f"{CASE_D_O2_NOT_CENTRAL}: p2-component case:"
-                                       f" component {rec.simple}, O_2(G) of order"
-                                       f" {o_p.order} has a class without full"
-                                       f" 2-part centralizer")
-                    return
-                res.yes = _yes(f"p2-component case: component {rec.simple},"
-                               f" 2-element class {c} outside F*(G) with"
-                               f" full 2-part centralizer")
-                return
+                    return _unknown(CASE_D_O2_NOT_CENTRAL,
+                                    f"p2-component case: component {rec.simple},"
+                                    f" O_2(G) of order {o_p.order} has a class"
+                                    f" without full 2-part centralizer")
+                return _yes(f"p2-component case: component {rec.simple},"
+                            f" 2-element class {c} outside F*(G) with"
+                            f" full 2-part centralizer")
+    return None
 
 
 def _case_d_type(sid: SimpleId) -> bool:
@@ -417,7 +390,6 @@ def _case_d_type(sid: SimpleId) -> bool:
         return True
     if sid.family == "PSL" and sid.params[0] == 2:
         q = sid.params[1]
-        from math import isqrt
         r = isqrt(q)
         return r * r == q and q % 16 == 9
     return False
@@ -429,8 +401,4 @@ def _is_perfect_normal(t: CharTable, N: NormalSet) -> bool:
     lat = [ns for ns in normal_lattice(t) if ns.members < N.members]
     maximal = [ns for ns in lat
                if not any(o.members > ns.members for o in lat)]
-    for M in maximal:
-        quo = N.order // M.order
-        if quo == p_part(quo, min(f for f in range(2, quo + 1) if quo % f == 0)):
-            return False
-    return True
+    return not any(is_prime_power(N.order // M.order) for M in maximal)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import Cyc
-from .numutil import factorize, multiplicative_order, p_prime_part, valuation
+from .numutil import factorize, multiplicative_order, p_prime_part
 
 
 class GF:
@@ -345,8 +345,3 @@ class CycReducer:
             row = rows[e]
             out = [x + int(c) * y for x, y in zip(out, row)]
         return FFElem(self.field, tuple(x % self.p for x in out))
-
-
-def ideal_reduce(a: Cyc, p: int) -> FFElem:
-    """Reduce a cyclotomic integer modulo the fixed prime ideal over p."""
-    return CycReducer(p, a.n).reduce(a)

@@ -1,7 +1,12 @@
 """Recognition of simple composition factors from orders, plus Sylow facts.
 
 A nonabelian minimal normal subgroup is a direct power S^k of a simple
-group, and at desk scale S is determined by |S| except for two known
+group, and S is named from |S|.  Alternating and sporadic orders are
+compared directly; for the groups of Lie type the order formulas are
+inverted.  Over GF(q), q = r^f, the r-part of |S| is exactly q^N with N
+fixed by the family and rank, so each prime r dividing |S| leaves at most
+one q per family and rank, and the search is bounded by the factorization
+of |S|, not by its size.  S is determined by |S| except for two known
 coincidences: |Alt(8)| = |PSL(3,4)| and |B_n(q)| = |C_n(q)| (n >= 3,
 q odd).  Both are resolved from the table by a 2-element class-size
 probe.  Sylow facts for recognized socles (is the Sylow abelian, is
@@ -17,7 +22,7 @@ from importlib import resources
 from math import gcd
 
 from .chartab import CharTable, NormalSet, is_p_element
-from .numutil import factorize, iroot, is_prime, is_prime_power, valuation
+from .numutil import factorize, iroot, is_prime, is_prime_power, p_part, valuation
 
 
 class RecognitionError(Exception):
@@ -81,14 +86,6 @@ def _canonical(family: str, params: tuple[int, ...], order: int) -> SimpleId:
     return SimpleId(family, params, order)
 
 
-def _prime_powers_upto(bound: int):
-    q = 2
-    while q <= bound:
-        if is_prime_power(q):
-            yield q
-        q += 1
-
-
 def _psl_order(n: int, q: int) -> int:
     o = q ** (n * (n - 1) // 2)
     for i in range(2, n + 1):
@@ -133,7 +130,53 @@ _EXCEPTIONAL = {
                      * (q ** 18 - 1) * (q ** 14 - 1) * (q ** 12 - 1)
                      * (q ** 8 - 1) * (q ** 2 - 1)),
     "3D4": lambda q: q ** 12 * (q ** 8 + q ** 4 + 1) * (q ** 6 - 1) * (q ** 2 - 1),
+    "2B2": lambda q: q ** 2 * (q ** 2 + 1) * (q - 1),
+    "2F4": lambda q: q ** 12 * (q ** 6 + 1) * (q ** 4 - 1) * (q ** 3 + 1) * (q - 1),
+    "2G2": lambda q: q ** 3 * (q ** 3 + 1) * (q - 1),
 }
+
+
+def _single_rank(name, exponent, excluded=lambda d, r, f: False):
+    """A table row for the exceptional family `name`: one rank, params (q,)."""
+    order = _EXCEPTIONAL[name]
+    return (name, 1, 1, lambda d: exponent, lambda d, q: (q,),
+            lambda d, q: order(q), excluded)
+
+
+def _odd_power_of(r0: int):
+    """2B2, 2F4 (r0 = 2) and 2G2 (r0 = 3) are simple for q = r0^f, f odd, f >= 3."""
+    return lambda d, r, f: r != r0 or f % 2 == 0 or f == 1
+
+
+#: The groups of Lie type: name, first and last rank (None: unbounded),
+#: N(d), params(d, q), order(d, q) and excluded(d, r, f).  Over GF(q),
+#: q = r^f, the r-part of the order is exactly q^N(d); the exclusions are
+#: PSL(2,2), PSL(2,3), PSU(3,2), PSp(4,2), G2(2), B_d over even q (that is
+#: C_d) and the Suzuki and Ree groups outside odd powers q >= 8 resp. 27.
+_LIE_FAMILIES = (
+    ("PSL", 2, None, lambda d: d * (d - 1) // 2, lambda d, q: (d, q), _psl_order,
+     lambda d, r, f: d == 2 and r ** f < 4),
+    ("PSU", 3, None, lambda d: d * (d - 1) // 2, lambda d, q: (d, q), _psu_order,
+     lambda d, r, f: (d, r ** f) == (3, 2)),
+    ("PSp", 2, None, lambda d: d * d, lambda d, q: (2 * d, q), _psp_order,
+     lambda d, r, f: (d, r ** f) == (2, 2)),
+    # B_d(q) has the order of C_d(q) = PSp(2d, q) but is not isomorphic to it
+    ("B", 3, None, lambda d: d * d, lambda d, q: (d, q), _psp_order, lambda d, r, f: r == 2),
+    ("D", 4, None, lambda d: d * (d - 1), lambda d, q: (d, q),
+     lambda d, q: _dn_order(d, q, False), lambda d, r, f: False),
+    ("2D", 4, None, lambda d: d * (d - 1), lambda d, q: (d, q),
+     lambda d, q: _dn_order(d, q, True), lambda d, r, f: False),
+    _single_rank("G2", 6, lambda d, r, f: r ** f == 2),
+    _single_rank("F4", 24),
+    _single_rank("E6", 36),
+    _single_rank("2E6", 36),
+    _single_rank("E7", 63),
+    _single_rank("E8", 120),
+    _single_rank("3D4", 12),
+    _single_rank("2B2", 2, _odd_power_of(2)),
+    _single_rank("2F4", 12, _odd_power_of(2)),
+    _single_rank("2G2", 3, _odd_power_of(3)),
+)
 
 #: the Tits group, the derived subgroup of 2F4(2)
 _TITS_ORDER = 17971200
@@ -141,15 +184,16 @@ _TITS_ORDER = 17971200
 
 def simple_order_candidates(n: int) -> set[SimpleId]:
     """All nonabelian (plus cyclic of prime order) simple groups of order n,
-    as canonical SimpleIds.  At most two candidates ever coexist."""
+    as canonical SimpleIds.  At most two candidates ever coexist.
+
+    The order formulas are inverted rather than searched: for each prime
+    r with r^e exactly dividing n, a family and rank d admit only
+    q = r^(e / N(d)), so the work grows with the number of prime factors
+    of n and the ranks with N(d) <= e, not with n.
+    """
     if n < 1:
         raise ValueError("order must be positive")
     out: set[SimpleId] = set()
-
-    def take(family, params, order):
-        if order == n:
-            out.add(_canonical(family, tuple(params), order))
-
     if is_prime(n):
         out.add(SimpleId("Cyclic", (n,), n))
     for name, order in _data()["sporadic_orders"].items():
@@ -160,72 +204,19 @@ def simple_order_candidates(n: int) -> set[SimpleId]:
 
     fact, m = 60, 5
     while fact <= n:
-        take("Alt", (m,), fact)
+        if fact == n:
+            out.add(SimpleId("Alt", (m,), n))
         m += 1
         fact *= m
 
-    d = 2
-    while _psl_order(d, 2) <= n:
-        for q in _prime_powers_upto(n):
-            if _psl_order(d, q) > n:
-                break
-            if d == 2 and q in (2, 3):
-                continue
-            take("PSL", (d, q), _psl_order(d, q))
-        d += 1
-    d = 3
-    while _psu_order(d, 2) <= n:
-        for q in _prime_powers_upto(n):
-            if _psu_order(d, q) > n:
-                break
-            if (d, q) == (3, 2):
-                continue
-            take("PSU", (d, q), _psu_order(d, q))
-        d += 1
-    d = 2
-    while _psp_order(d, 2) <= n:
-        for q in _prime_powers_upto(n):
-            if _psp_order(d, q) > n:
-                break
-            if (d, q) == (2, 2):
-                continue
-            take("PSp", (2 * d, q), _psp_order(d, q))
-            if d >= 3 and q % 2:
-                # B_d(q) has the same order but is not isomorphic to C_d(q)
-                take("B", (d, q), _psp_order(d, q))
-        d += 1
-    d = 4
-    while _dn_order(d, 2, False) <= n:
-        for q in _prime_powers_upto(n):
-            if _dn_order(d, q, False) > n:
-                break
-            take("D", (d, q), _dn_order(d, q, False))
-        d += 1
-    d = 4
-    while _dn_order(d, 2, True) <= n:
-        for q in _prime_powers_upto(n):
-            if _dn_order(d, q, True) > n:
-                break
-            take("2D", (d, q), _dn_order(d, q, True))
-        d += 1
-    for fam, formula in _EXCEPTIONAL.items():
-        for q in _prime_powers_upto(n):
-            if formula(q) > n:
-                break
-            if fam == "G2" and q == 2:
-                continue
-            take(fam, (q,), formula(q))
-    for q in _prime_powers_upto(n):  # Suzuki and Ree: odd powers of 2 resp. 3
-        if q ** 2 * (q ** 2 + 1) * (q - 1) > n:
-            break
-        fq = factorize(q)
-        if list(fq) == [2] and fq[2] % 2 == 1 and q >= 8:
-            take("2B2", (q,), q ** 2 * (q ** 2 + 1) * (q - 1))
-            o = q ** 12 * (q ** 6 + 1) * (q ** 4 - 1) * (q ** 3 + 1) * (q - 1)
-            if o <= n:
-                take("2F4", (q,), o)
-        if list(fq) == [3] and fq[3] % 2 == 1 and q >= 27:
-            take("2G2", (q,), q ** 3 * (q ** 3 + 1) * (q - 1))
+    for r, e in factorize(n).items():
+        for name, first, last, exponent, params, order, excluded in _LIE_FAMILIES:
+            d = first
+            while exponent(d) <= e and (last is None or d <= last):
+                f, rest = divmod(e, exponent(d))
+                if not rest and not excluded(d, r, f) and order(d, r ** f) == n:
+                    out.add(_canonical(name, params(d, r ** f), n))
+                d += 1
     return out
 
 
@@ -245,9 +236,9 @@ class RecognizedNormal:
 
 def recognize_minimal_normal(t: CharTable, N: NormalSet) -> RecognizedNormal:
     order = N.order
-    if is_prime_power(order):
-        (p, e), = factorize(order).items()
-        return RecognizedNormal(kind="elementary", prime=p, rank=e)
+    power = is_prime_power(order)
+    if power:
+        return RecognizedNormal(kind="elementary", prime=power[0], rank=power[1])
     pairs: list[tuple[SimpleId, int]] = []
     k = 1
     while 60 ** k <= order:
@@ -339,7 +330,7 @@ def socle_sylow_lookup(s: SimpleId, p: int) -> SocleFacts:
 
     if s.family == "PSL" and s.params[0] == 2:
         q = s.params[1]
-        (q0, f), = factorize(q).items()
+        q0, f = is_prime_power(q)
         if q0 == p:
             # defining characteristic: P is elementary abelian of rank f
             return SocleFacts(True, f == 2, False, "elementary-abelian")
@@ -375,7 +366,7 @@ def out_has_unique_order_p_subgroup(s: SimpleId, p: int) -> bool | None:
         return p == 2
     if s.family == "PSL" and s.params[0] == 2:
         q = s.params[1]
-        (q0, f), = factorize(q).items()
+        q0, f = is_prime_power(q)
         if p == 2 and q0 != 2:
             return f % 2 == 1  # Out = C2 x C_f: unique iff the C_f part is odd
         if p != 2 and p != q0:
@@ -407,13 +398,9 @@ def extension_sylow_lookup(s: SimpleId, p: int) -> SocleFacts:
         return SocleFacts(abelian, comm, center, "sym-wreath")
     if p == 2 and s.family == "PSL" and s.params[0] == 2:
         q = s.params[1]
-        (q0, f), = factorize(q).items()
+        q0, f = is_prime_power(q)
         if q0 != 2 and f % 2 == 1:
-            two_part = 1
-            qq = q * q - 1
-            while qq % 2 == 0:
-                two_part *= 2
-                qq //= 2
+            two_part = p_part(q * q - 1, 2)
             # PGL(2,q) has a dihedral Sylow 2-subgroup of order (q^2-1)_2
             return SocleFacts(two_part <= 4, True, two_part == 8, "dihedral")
     return SocleFacts(None, None, None, None)

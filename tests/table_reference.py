@@ -11,16 +11,32 @@ replaces with a support check or one Galois generator per prime.
 `reference_cyclotomic_poly` divides x^n - 1 by every Phi_d, d | n, d < n,
 which `cyclo.cyclotomic_poly` replaces with Phi_n(x) = Phi_rad(n)(x^(n/rad n))
 and Phi_mp(x) = Phi_m(x^p) / Phi_m(x).
+
+`reference_normal_p_abelian` links characters by Cyc inner products of
+their restrictions, one product at a time, where
+`detectors.detect_normal_p_abelian` reads them off masked row sums.
+
+`reference_simple_order_candidates` is the rank-by-q search of simple
+orders, which `simplerec.simple_order_candidates` replaces with one q per
+family, rank and prime, read off the prime's exponent in the order.
+
+The last section holds table tests that only the tests use:
+`derived_subgroup`, `is_nilpotent_normal`,
+`has_small_centralizer_p_element` and `ideal_reduce`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from sylowtab.chartab import CharTable
+from sylowtab import simplerec
+from sylowtab.chartab import (CharTable, NormalSet, centralizer_order, is_p_element,
+                              kernel_of, normal_lattice)
 from sylowtab.cyclo import Cyc, cyc_to_rat, cyclotomic_poly
-from sylowtab.gfpm import CycReducer
-from sylowtab.numutil import euler_phi, lcm, prime_divisors
+from sylowtab.gfpm import CycReducer, FFElem
+from sylowtab.numutil import (euler_phi, factorize, is_prime, is_prime_power, lcm,
+                              p_part, prime_divisors, valuation)
+from sylowtab.simplerec import SimpleId
 
 
 def fresh(t: CharTable, **changes) -> CharTable:
@@ -309,3 +325,174 @@ def _solve_fraction(mat, rhs):
     for i, c in enumerate(pivots):
         out[c] = aug[i][-1]
     return out
+
+
+def reference_normal_p_abelian(t: CharTable, N: NormalSet) -> bool:
+    """Whether N is abelian: characters joined (union-find) whenever the
+    inner product of their restrictions to N is nonzero, then the minimal
+    degrees of the groups summed and compared with |N|."""
+    parent = list(range(t.k))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i in range(t.k):
+        for j in range(i + 1, t.k):
+            s = Cyc.zero()
+            for c in N.members:
+                s = s + t.classes[c].size * (t.chars[i][c] * t.chars[j][c].conjugate())
+            if not s.is_zero():
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(t.k):
+        groups.setdefault(find(i), []).append(i)
+    return sum(min(t.degree(i) for i in g) for g in groups.values()) == N.order
+
+
+# -- simple orders ------------------------------------------------------
+
+
+def _prime_powers_upto(bound: int):
+    q = 2
+    while q <= bound:
+        if is_prime_power(q):
+            yield q
+        q += 1
+
+
+def reference_simple_order_candidates(n: int) -> set[SimpleId]:
+    """Simple groups of order n by walking q upward for each family and
+    rank, stopping at the first q whose order exceeds n.  These orders do
+    not grow monotonically in q, so the stop can skip a group (PSL(2,17))."""
+    if n < 1:
+        raise ValueError("order must be positive")
+    out: set[SimpleId] = set()
+    canonical = simplerec._canonical
+    psl, psu, psp, dn = (simplerec._psl_order, simplerec._psu_order,
+                         simplerec._psp_order, simplerec._dn_order)
+
+    def take(family, params, order):
+        if order == n:
+            out.add(canonical(family, tuple(params), order))
+
+    if is_prime(n):
+        out.add(SimpleId("Cyclic", (n,), n))
+    for name, order in simplerec._data()["sporadic_orders"].items():
+        if order == n:
+            out.add(SimpleId(name, (), order))
+    if n == simplerec._TITS_ORDER:
+        out.add(SimpleId("2F4'", (2,), simplerec._TITS_ORDER))
+
+    fact, m = 60, 5
+    while fact <= n:
+        take("Alt", (m,), fact)
+        m += 1
+        fact *= m
+
+    d = 2
+    while psl(d, 2) <= n:
+        for q in _prime_powers_upto(n):
+            if psl(d, q) > n:
+                break
+            if d == 2 and q in (2, 3):
+                continue
+            take("PSL", (d, q), psl(d, q))
+        d += 1
+    d = 3
+    while psu(d, 2) <= n:
+        for q in _prime_powers_upto(n):
+            if psu(d, q) > n:
+                break
+            if (d, q) == (3, 2):
+                continue
+            take("PSU", (d, q), psu(d, q))
+        d += 1
+    d = 2
+    while psp(d, 2) <= n:
+        for q in _prime_powers_upto(n):
+            if psp(d, q) > n:
+                break
+            if (d, q) == (2, 2):
+                continue
+            take("PSp", (2 * d, q), psp(d, q))
+            if d >= 3 and q % 2:
+                take("B", (d, q), psp(d, q))
+        d += 1
+    d = 4
+    while dn(d, 2, False) <= n:
+        for q in _prime_powers_upto(n):
+            if dn(d, q, False) > n:
+                break
+            take("D", (d, q), dn(d, q, False))
+        d += 1
+    d = 4
+    while dn(d, 2, True) <= n:
+        for q in _prime_powers_upto(n):
+            if dn(d, q, True) > n:
+                break
+            take("2D", (d, q), dn(d, q, True))
+        d += 1
+    for fam, formula in REFERENCE_EXCEPTIONAL.items():
+        for q in _prime_powers_upto(n):
+            if formula(q) > n:
+                break
+            if fam == "G2" and q == 2:
+                continue
+            take(fam, (q,), formula(q))
+    for q in _prime_powers_upto(n):  # Suzuki and Ree: odd powers of 2 resp. 3
+        if q ** 2 * (q ** 2 + 1) * (q - 1) > n:
+            break
+        fq = factorize(q)
+        if list(fq) == [2] and fq[2] % 2 == 1 and q >= 8:
+            take("2B2", (q,), q ** 2 * (q ** 2 + 1) * (q - 1))
+            o = q ** 12 * (q ** 6 + 1) * (q ** 4 - 1) * (q ** 3 + 1) * (q - 1)
+            if o <= n:
+                take("2F4", (q,), o)
+        if list(fq) == [3] and fq[3] % 2 == 1 and q >= 27:
+            take("2G2", (q,), q ** 3 * (q ** 3 + 1) * (q - 1))
+    return out
+
+
+#: the exceptional families the reference searches; it handles the Suzuki
+#: and Ree families in a loop of their own
+REFERENCE_EXCEPTIONAL = {name: order for name, order in simplerec._EXCEPTIONAL.items()
+                         if name not in ("2B2", "2F4", "2G2")}
+
+
+# -- table tests only the tests use ------------------------------------
+
+
+def derived_subgroup(t: CharTable) -> NormalSet:
+    """G' as the intersection of the kernels of the linear characters."""
+    members = frozenset(range(t.k))
+    for i in range(t.k):
+        if t.degree(i) == 1:
+            members &= kernel_of(t, i).members
+    return NormalSet(members, t.subset_order(members))
+
+
+def is_nilpotent_normal(t: CharTable, N: NormalSet) -> bool:
+    """N nilpotent iff it is the direct product of its Sylow subgroups,
+    i.e. its r-elements form a normal subgroup of full r-part order for
+    every prime r | |N|."""
+    lat_members = {ns.members for ns in normal_lattice(t)}
+    for r in prime_divisors(N.order):
+        relts = frozenset(c for c in N.members if is_p_element(t, c, r))
+        if relts not in lat_members:
+            return False
+        if t.subset_order(relts) != p_part(N.order, r):
+            return False
+    return True
+
+
+def has_small_centralizer_p_element(t: CharTable, p: int) -> bool:
+    """Is there a p-element class whose centralizer order has p-part <= p^2?"""
+    return any(is_p_element(t, c, p) and valuation(centralizer_order(t, c), p) <= 2
+               for c in range(t.k))
+
+
+def ideal_reduce(a: Cyc, p: int) -> FFElem:
+    """Reduce a cyclotomic integer modulo the fixed prime ideal over p."""
+    return CycReducer(p, a.n).reduce(a)

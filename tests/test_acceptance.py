@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sylowtab.blocks import (abelian_sylow_test, count_height_zero_principal,
-                             has_small_centralizer_p_element)
+from sylowtab.blocks import abelian_sylow_test, count_height_zero_principal
 from sylowtab.chartab import centralizer_order, is_p_element, minimal_normals, validate
 from sylowtab.detectors import (SOCLE_DATA_MISSING, _almost_simple_commutator,
                                 detect_center_index_p2,
@@ -23,6 +22,7 @@ from sylowtab.simplerec import (SimpleId, recognize_minimal_normal,
                                 simple_order_candidates)
 from perm_reference import (centralizer_order_of_class, centralizer_size,
                             derived_indices, element_order, index_p_normal_subgroups)
+from table_reference import has_small_centralizer_p_element
 
 
 def _report(num, ok, desc):

@@ -5,10 +5,9 @@ import pytest
 
 from sylowtab.chartab import (CharTable, ClassData, _tensor_basis,
                               centralizer_order, core_subgroups,
-                              derived_subgroup, has_cyclic_sylow, int_values,
-                              is_p_element, is_nilpotent_normal, kernel_of,
-                              minimal_normals, normal_lattice, power_class,
-                              quotient_table, validate)
+                              has_cyclic_sylow, int_values, is_p_element,
+                              kernel_of, minimal_normals, normal_lattice,
+                              power_class, quotient_table, validate)
 from sylowtab.cyclo import Cyc, cyc_root
 from sylowtab.blocks import block_partition
 from sylowtab.corpus import _direct_product, _psl2_perms, corpus_entry
@@ -16,7 +15,8 @@ from sylowtab.detectors import detect_center_index_p2, detect_commutator_index_p
 from sylowtab.dixon import dixon_table
 from sylowtab.perm import PermGroup, perm_from_cycles
 from sylowtab.numutil import divisors, euler_phi, prime_divisors
-from table_reference import (fresh, reference_blocks, reference_centralizer_order,
+from table_reference import (derived_subgroup, fresh, is_nilpotent_normal,
+                             reference_blocks, reference_centralizer_order,
                              reference_validate)
 
 

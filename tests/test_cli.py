@@ -6,8 +6,9 @@ import pytest
 
 from sylowtab.chartab import CharTable, ClassData
 from sylowtab.cli import main
-from sylowtab.corpus import _direct_product
+from sylowtab.corpus import _direct_product, _psl2_perms
 from sylowtab.cyclo import Cyc, cyc_root
+from sylowtab.numutil import prime_divisors
 from sylowtab.serialize import GroupDocument, emit_group, emit_table
 
 
@@ -173,3 +174,18 @@ def test_oracle_on_q16_x_psl213_has_no_traceback(corpus, tmp_path, capsys):
     assert main(["oracle", str(path), "--all-primes"]) == 0
     out = capsys.readouterr().out
     assert out.count("check=MATCH") == 12
+
+
+@pytest.mark.parametrize("q", [17, 19])
+def test_oracle_on_psl2_q_the_order_search_missed(q, tmp_path, capsys):
+    """A rank-by-q order search that stops at the first q whose order
+    exceeds |G| never reaches PSL(2,17): recognizing its socle raised."""
+    order = q * (q * q - 1) // 2
+    path = tmp_path / f"psl2_{q}.json"
+    path.write_text(emit_group(GroupDocument(q + 1, tuple(map(tuple, _psl2_perms(q))),
+                                             f"PSL(2,{q})", order)))
+    assert main(["oracle", str(path), "--all-primes"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("group=")]
+    assert len(rows) == len(prime_divisors(order))
+    assert all(line.count("check=MATCH") == 3 for line in rows)

@@ -1,6 +1,7 @@
 import pytest
 
-from sylowtab.chartab import normal_lattice, quotient_table
+from sylowtab.chartab import (core_subgroups, has_cyclic_sylow, normal_lattice,
+                              quotient_table)
 from sylowtab.corpus import _direct_product
 from sylowtab.detectors import (ABELIAN_TEST_PRECONDITION, CASE_D_O2_NOT_CENTRAL,
                                 LIE_DEGREE_PATTERN_UNTESTED, SOCLE_DATA_MISSING, Verdict,
@@ -9,8 +10,9 @@ from sylowtab.detectors import (ABELIAN_TEST_PRECONDITION, CASE_D_O2_NOT_CENTRAL
                                 detect_commutator_index_p2,
                                 detect_normal_p_abelian)
 from sylowtab.dixon import dixon_table
-from sylowtab.perm import PermGroup, perm_from_cycles
+from sylowtab.perm import PermGroup
 from sylowtab.simplerec import SimpleId
+from table_reference import fresh, reference_normal_p_abelian
 
 # frozen expected verdicts, hand-checked against the brute-force oracle:
 # (group, p) -> (|P:P'| = p^2 ?, |P:Z(P)| = p^2 ?)
@@ -138,6 +140,22 @@ def test_normal_p_abelian(corpus):
     assert detect_normal_p_abelian(t, t.trivial_subgroup(), 2) is True
 
 
+def test_normal_p_abelian_matches_the_cyc_reference(corpus):
+    """Every O_p(G) that reaches the row sums, in the corpus and in
+    C2 x A4 x C3, whose O_2(G) = C2 x V4 is abelian but not central."""
+    cases = [(corpus.table(name), p) for name, p in corpus.pairs()]
+    cases.append((_product(corpus, "C2", "A4xC3")[1], 2))
+    answers = []
+    for t, p in cases:
+        t = fresh(t)
+        _, o_p, _ = core_subgroups(t, p)
+        if o_p.order <= p * p or not has_cyclic_sylow(quotient_table(t, o_p), p):
+            continue
+        answers.append(detect_normal_p_abelian(t, o_p, p))
+        assert answers[-1] == reference_normal_p_abelian(t, o_p), (t.name, p)
+    assert answers.count(True) == 1 and answers.count(False) == 8
+
+
 def test_normal_p_abelian_rejects_noncyclic_quotient(corpus):
     t = corpus.table("A5xQ8")
     q8 = next(ns for ns in normal_lattice(t) if ns.order == 8)
@@ -170,29 +188,43 @@ def test_lie_degree_pattern_is_tagged(corpus):
     assert LIE_DEGREE_PATTERN_UNTESTED in v.reason
 
 
+def _product(corpus, *names):
+    """The direct product of corpus groups, and its Dixon table."""
+    entries = [corpus.entry(name) for name in names]
+    g = PermGroup(*_direct_product([(e.degree, [list(x) for x in e.generators])
+                                    for e in entries]), name="x".join(names))
+    return g, dixon_table(g)
+
+
 def test_unknown_reason_names_its_code_once(corpus):
-    s5 = corpus.entry("S5")
-    g = PermGroup(*_direct_product([(2, [perm_from_cycles(2, [(0, 1)])]),
-                                    (s5.degree, [list(x) for x in s5.generators])]))
-    v = detect_center_index_p2(dixon_table(g), 2)  # C2 x S5
+    # O_2(G) = D8 is neither central nor of order <= 4, and G/O_2(G) = S5
+    # has a noncyclic Sylow 2-subgroup
+    g, t = _product(corpus, "D8", "S5")
+    assert g.ground_truth(2).center_index == 16
+    v = detect_center_index_p2(t, 2)
     assert v.answer == "unknown"
     assert v.reason.startswith(f"{ABELIAN_TEST_PRECONDITION}: ")
     assert v.reason.count(ABELIAN_TEST_PRECONDITION) == 1
 
 
-def _times_s6(corpus, name):
-    a, s6 = corpus.entry(name), corpus.entry("S6")
-    g = PermGroup(*_direct_product([(a.degree, [list(x) for x in a.generators]),
-                                    (s6.degree, [list(x) for x in s6.generators])]),
-                  name=f"{name}xS6")
-    return g, dixon_table(g)
+# O_2(G) = C2 has order <= 4, and C2 x C4 lies in Z(G): both are abelian
+# without the test and its cyclic-Sylow precondition, so case C certifies
+@pytest.mark.parametrize("names", [("C2", "S5"), ("C2", "C4", "S5")], ids="x".join)
+def test_small_or_central_o2_is_abelian_without_the_precondition(corpus, names):
+    g, t = _product(corpus, *names)
+    assert g.ground_truth(2).center_index == 4
+    _, o_2, _ = core_subgroups(t, 2)
+    assert not has_cyclic_sylow(quotient_table(t, o_2), 2)
+    assert detect_normal_p_abelian(t, o_2, 2) is True
+    v = detect_center_index_p2(t, 2)
+    assert v.answer == "yes" and v.reason.startswith("index-p case"), v.reason
 
 
 # O_2(G) = D8, Q8 or SL(2,3)'s Q8 is not central in P: |P:Z(P)| = 16, so
 # case D must not certify; the table alone cannot show "no" here
 @pytest.mark.parametrize("name", ["D8", "Q8", "SL(2,3)"])
 def test_case_d_with_noncentral_o2_is_a_coded_unknown(corpus, name):
-    g, t = _times_s6(corpus, name)
+    g, t = _product(corpus, name, "S6")
     assert g.ground_truth(2).center_index == 16
     v = detect_center_index_p2(t, 2)
     assert v.answer == "unknown"
@@ -200,7 +232,7 @@ def test_case_d_with_noncentral_o2_is_a_coded_unknown(corpus, name):
 
 
 def test_case_d_with_central_o2_still_certifies(corpus):
-    g, t = _times_s6(corpus, "C4")
+    g, t = _product(corpus, "C4", "S6")
     assert g.ground_truth(2).center_index == 4
     v = detect_center_index_p2(t, 2)
     assert v.answer == "yes" and v.reason.startswith("p2-component case")

@@ -1,11 +1,15 @@
+import time
+
 import pytest
 
 from sylowtab.chartab import minimal_normals
-from sylowtab.simplerec import (SimpleId, extension_sylow_lookup,
-                                is_almost_simple,
+from sylowtab.numutil import is_prime_power
+from sylowtab.simplerec import (_LIE_FAMILIES, SimpleId, _canonical, _data,
+                                extension_sylow_lookup, is_almost_simple,
                                 out_has_unique_order_p_subgroup,
                                 recognize_minimal_normal,
                                 simple_order_candidates, socle_sylow_lookup)
+from table_reference import reference_simple_order_candidates
 
 
 def _names(cands):
@@ -20,6 +24,83 @@ def test_candidates_unique_small_orders():
     assert _names(simple_order_candidates(17971200)) == ["2F4'(2)"]
     assert _names(simple_order_candidates(29120)) == ["2B2(8)"]
     assert simple_order_candidates(100) == set()
+
+
+def _prime_powers_below(bound):
+    return [q for q in range(2, bound) if is_prime_power(q)]
+
+
+def _lie_type_groups(bound):
+    """(row, rank, q, order) for every group of Lie type of order <= bound,
+    read forward off the order formulas with q walked upward.  An order
+    can fall below an earlier one only through its gcd divisor, which is
+    at most max(d, 4), so a walk stops once the order passes that factor
+    times the bound."""
+    qs = _prime_powers_below(int((4 * bound) ** (1 / 3)) + 10)  # PSL(2,q) > q^3/4
+    out = []
+    for row in _LIE_FAMILIES:
+        _, first, last, _, _, order, excluded = row
+        d = first
+        while (last is None or d <= last) and order(d, 2) <= bound * max(d, 4):
+            for q in qs:
+                o = order(d, q)
+                if o > bound * max(d, 4):
+                    break
+                if o <= bound and not excluded(d, *is_prime_power(q)):
+                    out.append((row, d, q, o))
+            d += 1
+    return out
+
+
+def test_every_lie_type_group_up_to_1e12_is_recognized():
+    groups = _lie_type_groups(10 ** 12)
+    assert len(groups) > 1500
+    for (name, _, _, _, params, _, _), d, q, order in groups:
+        assert _canonical(name, params(d, q), order) in simple_order_candidates(order)
+
+
+def _skipped_by_reference(sid):
+    """Did the reference's walk over q stop before sid's q?  It stops at
+    the first q whose order exceeds the target, so sid is skipped exactly
+    when a smaller prime power q' of its family and rank has a larger
+    order."""
+    for name, first, _, _, params, order, _ in _LIE_FAMILIES:
+        if name != sid.family:
+            continue
+        q = sid.params[-1]
+        d = next(d for d in range(first, first + 64) if params(d, q) == sid.params)
+        return any(order(d, q2) > sid.order for q2 in _prime_powers_below(q))
+    return False
+
+
+def test_inversion_matches_the_reference_search():
+    orders = set(range(1, 3000)) | {o for *_, o in _lie_type_groups(10 ** 10)}
+    orders |= {o for o in _data()["sporadic_orders"].values() if o <= 10 ** 10}
+    orders |= {2 * o for o in list(orders) if o > 3000}  # not simple
+    extra = {}
+    for n in sorted(orders):
+        new, ref = simple_order_candidates(n), reference_simple_order_candidates(n)
+        assert ref <= new, n
+        if new != ref:
+            extra[n] = new - ref
+    for n, sids in extra.items():
+        assert all(_skipped_by_reference(sid) for sid in sids), (n, sids)
+    names = {str(sid) for sids in extra.values() for sid in sids}
+    assert {"PSL(2,17)", "PSL(2,19)", "PSL(2,37)", "PSU(3,8)", "PSL(3,19)"} <= names
+
+
+def test_orders_the_reference_search_skipped():
+    assert _names(simple_order_candidates(2448)) == ["PSL(2,17)"]
+    assert _names(simple_order_candidates(3420)) == ["PSL(2,19)"]
+    assert _names(simple_order_candidates(5515776)) == ["PSU(3,8)"]
+    assert reference_simple_order_candidates(2448) == set()
+
+
+def test_all_sporadic_orders_recognized_within_a_second():
+    start = time.perf_counter()
+    for name, order in _data()["sporadic_orders"].items():
+        assert SimpleId(name, (), order) in simple_order_candidates(order), name
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cyclic_prime():
