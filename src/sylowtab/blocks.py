@@ -8,8 +8,8 @@ built once per table.  One CycReducer at the lcm E of the group
 conductors fixes the prime ideal over p; its rows for zeta_N map x^e into
 GF(p^m), so each group reduces as one integer matrix product mod p.  The
 resulting partition does not depend on the irreducible polynomial backing
-the finite field (tested).  Partitions are memoized on the table under
-("blocks", p, modulus).
+the finite field: the tests compare it with reducers built on other
+polynomials.  Partitions are memoized on the table under ("blocks", p).
 """
 
 from __future__ import annotations
@@ -59,15 +59,14 @@ def _central_characters(t: CharTable) -> list[np.ndarray]:
     return omegas
 
 
-def block_partition(t: CharTable, p: int, modulus=None) -> BlockPartition:
-    """Partition Irr(G) into p-blocks; `modulus` optionally overrides the
-    irreducible polynomial used for GF(p^m) (the partition is the same)."""
-    key = ("blocks", p, None if modulus is None else tuple(modulus))
+def block_partition(t: CharTable, p: int) -> BlockPartition:
+    """Partition Irr(G) into p-blocks."""
+    key = ("blocks", p)
     if key in t._memo:
         return t._memo[key]
     omegas = _central_characters(t)
     groups = int_values(t).groups
-    reducer = CycReducer(p, lcm(*(g.conductor for g in groups)), modulus=modulus)
+    reducer = CycReducer(p, lcm(*(g.conductor for g in groups)))
     images = []
     for g, w in zip(groups, omegas):
         k, kn, n = w.shape

@@ -67,7 +67,7 @@ class CharTable:
     data is memoized in `_memo` on the instance, never process-wide:
     "lattice" (normal_lattice), "int_values", "column_sums",
     ("quotient", N) per normal subgroup N, and in `blocks`
-    "central_characters" and ("blocks", p, modulus).
+    "central_characters" and ("blocks", p).
     """
 
     def __init__(self, group_order, classes, power_maps, chars, name=None):
@@ -89,12 +89,6 @@ class CharTable:
         if d is None or d.denominator != 1 or d <= 0:
             raise ValueError(f"character {i} has invalid degree {self.chars[i][0]!r}")
         return int(d)
-
-    def whole_group(self) -> NormalSet:
-        return NormalSet(frozenset(range(self.k)), self.group_order)
-
-    def trivial_subgroup(self) -> NormalSet:
-        return NormalSet(frozenset([0]), 1)
 
     def subset_order(self, members) -> int:
         return sum(self.classes[c].size for c in members)

@@ -1,16 +1,17 @@
 """The embedded test corpus: generator data for every benchmark group.
 
 Matrix-origin groups (SL, GL, PSL) are realized as permutation actions on
-nonzero vectors or projective points; the quaternion/semidihedral Sylow
-representatives use their regular representations.  Every entry is pinned
+nonzero vectors or projective points, with matrices over the integers mod p
+or over GF(9) as pairs c0 + c1 x with x^2 = -1; the quaternion/semidihedral
+Sylow representatives use their regular representations.  Every entry is pinned
 by expected_order so a wrong generator set fails fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .gfpm import GF
 from .numutil import prime_divisors
 from .perm import DEFAULT_CAP, PermGroup, perm_from_cycles
 
@@ -68,47 +69,33 @@ def _two_gen_regular(n_a: int, twist: int, b_sq: int) -> list[list[int]]:
 def _matrix_perms(p: int, m: int, dim: int, mat_gens) -> list[list[int]]:
     """Permutations of the nonzero vectors of GF(p^m)^dim under v -> M v.
 
-    Matrix entries are field elements given as coefficient lists over the
-    prime field (plain ints mean prime-field constants).
+    m is 1 or 2.  GF(p) is the integers mod p; GF(p^2), for p = 3 (mod 4)
+    only, is the pairs c0 + c1 x with x^2 = -1.  A scalar is numbered
+    c0 + p c1, and the vectors are listed lexicographically by these
+    numbers, the last coordinate fastest.  Matrix entries are ints
+    (prime-field constants) or coefficient lists [c0, c1].
     """
-    field = GF(p, m)
 
-    def elem(spec):
-        return field.elem(spec if isinstance(spec, (list, tuple)) else int(spec))
+    def scalar(spec):
+        if isinstance(spec, int):
+            return spec % p
+        return sum(c % p * p**i for i, c in enumerate(spec))
 
-    scalars = []
-    for k in range(field.order):
-        coeffs = []
-        kk = k
-        for _ in range(m):
-            coeffs.append(kk % p)
-            kk //= p
-        scalars.append(field.elem(coeffs))
-    vectors = [v for v in _tuples(scalars, dim) if any(not s.is_zero() for s in v)]
-    index = {tuple(s.coeffs for s in v): i for i, v in enumerate(vectors)}
+    def dot(row, v):
+        c0 = c1 = 0
+        for a, b in zip(row, v):
+            (a1, a0), (b1, b0) = divmod(a, p), divmod(b, p)
+            c0 += a0 * b0 - a1 * b1
+            c1 += a0 * b1 + a1 * b0
+        return c0 % p + p * (c1 % p)
+
+    vectors = [v for v in product(range(p**m), repeat=dim) if any(v)]
+    index = {v: i for i, v in enumerate(vectors)}
     out = []
     for mat in mat_gens:
-        M = [[elem(x) for x in row] for row in mat]
-        images = []
-        for v in vectors:
-            w = []
-            for r in range(dim):
-                acc = field.zero()
-                for c in range(dim):
-                    acc = acc + M[r][c] * v[c]
-                w.append(acc)
-            images.append(index[tuple(s.coeffs for s in w)])
-        out.append(images)
+        M = [[scalar(x) for x in row] for row in mat]
+        out.append([index[tuple(dot(row, v) for row in M)] for v in vectors])
     return out
-
-
-def _tuples(pool, length):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(pool, length - 1):
-        for s in pool:
-            yield rest + (s,)
 
 
 def _psl2_perms(q: int) -> list[list[int]]:
@@ -149,7 +136,7 @@ def _alt(n):
 
 
 def _build_entries() -> list[CorpusEntry]:
-    t = [1, 1]  # the multiplicative generator x+1 of GF(9) (modulus x^2 + 1)
+    t = [1, 1]  # the multiplicative generator x+1 of GF(9) (x^2 = -1)
     e12 = [[1, 1], [0, 1]]
     e21 = [[1, 0], [1, 1]]
     entries = [

@@ -165,9 +165,6 @@ class Cyc:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_rational(self) -> bool:
-        return self.n == 1
-
     def rational_value(self) -> Fraction:
         """The value as a Fraction; raises if the element is irrational."""
         if self.n != 1:
@@ -283,10 +280,6 @@ class Cyc:
 
     def conjugate(self) -> "Cyc":
         return self.galois(-1)
-
-    def abs2(self) -> "Cyc":
-        """self * conj(self); a nonnegative rational for real-character use."""
-        return self * self.conjugate()
 
     # -- plumbing -----------------------------------------------------
 

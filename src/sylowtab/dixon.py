@@ -88,34 +88,6 @@ def _matrix_power(B, e, l):
         B = B @ B % l
 
 
-def _sqrt_mod(a, l):
-    """A square root of a modulo the odd prime l (Tonelli-Shanks)."""
-    a %= l
-    if a == 0:
-        return 0
-    if pow(a, (l - 1) // 2, l) != 1:
-        raise ValueError("not a quadratic residue")
-    if l % 4 == 3:
-        return pow(a, (l + 1) // 4, l)
-    q, s = l - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (l - 1) // 2, l) != l - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, l), pow(a, q, l), pow(a, (q + 1) // 2, l)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % l
-            i += 1
-        b = pow(c, 1 << (m - i - 1), l)
-        m, c = i, b * b % l
-        t, r = t * c % l, r * b % l
-    return r
-
-
 def _choose_ell(exponent: int, order: int, k: int, skip: int = 0) -> int:
     """The (skip+1)-th prime l = 1 (mod exponent) above max(2*sqrt(order)+2, k^2).
 
@@ -145,13 +117,16 @@ SCAN_BUDGET = 2048
 #: rounds of the eigenvector split before it gives up
 SPLIT_ROUNDS = 32
 
+#: split attempts at each of the four primes l before dixon_table gives up
+MAX_ATTEMPTS = 8
+
 
 class _Unseparated(Exception):
     """The class matrices in use split a random vector into only args[0] < k
     eigenvectors: they may not separate the characters."""
 
 
-def dixon_table(g: PermGroup, seed: int = 1, max_attempts: int = 8) -> CharTable:
+def dixon_table(g: PermGroup, seed: int = 1) -> CharTable:
     """The exact character table of an enumerated permutation group.
 
     The split starts from the class matrices of the smallest classes, by
@@ -186,7 +161,7 @@ def dixon_table(g: PermGroup, seed: int = 1, max_attempts: int = 8) -> CharTable
     for ell_round in range(4):
         l = _choose_ell(e, n, k, skip=ell_round)
         attempts = 0
-        while attempts < max_attempts:
+        while attempts < MAX_ATTEMPTS:
             try:
                 V = _common_eigenvectors(A, k, l, rng)
             except _Unseparated as exc:
@@ -285,15 +260,13 @@ def _lift_characters(g, cd, V, inv_class, l):
     dt = int_dtype(max(k, *orders) * (l - 1) ** 2)
     V = V.astype(dt)
     X = V * np.array([pow(int(s), -1, l) for s in cd.sizes], dtype=dt)[:, None] % l
+    # a degree d has d^2 <= n and l > 2 sqrt(n), so d is the only root of
+    # d^2 = n / s (mod l) in 1 .. isqrt(n)
+    roots = {d * d % l: d for d in range(1, isqrt(n) + 1)}
     degrees = []
     for s in ((X * V[inv_class] % l).sum(axis=0) % l).tolist():
-        d2 = n * pow(s, -1, l) % l
-        try:
-            d = _sqrt_mod(d2, l)
-        except ValueError:
-            return None
-        d = min(d, l - d)
-        if d == 0 or d * d > n:
+        d = roots.get(n * pow(s, -1, l) % l)
+        if d is None:
             return None
         degrees.append(d)
     if sum(d * d for d in degrees) != n:

@@ -10,6 +10,10 @@ times those rows, so `blocks` reduces each conductor group of a table as
 one integer matrix product, all through the one prime ideal over p of the
 table's common conductor.  The partition into blocks does not depend on
 the choice of irreducible polynomial (tested).
+
+The reducer is the only user of this module: GF and FFElem hold just the
+multiplication and powers that find its root of unity, and the corpus
+does its own arithmetic over GF(p) and GF(9).
 """
 
 from __future__ import annotations
@@ -55,9 +59,6 @@ class GF:
                 c = self._reduce(c)
             c += [0] * (self.m - len(c))
         return FFElem(self, tuple(c))
-
-    def zero(self) -> "FFElem":
-        return self.elem(0)
 
     def one(self) -> "FFElem":
         return self.elem(1)
@@ -218,31 +219,11 @@ class FFElem:
         self.field = field
         self.coeffs = coeffs
 
-    def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FFElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FFElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.field.p
-        return FFElem(self.field, tuple((-a) % p for a in self.coeffs))
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.field.elem(other)
         self._check(other)
         return FFElem(self.field, self.field.mul(self.coeffs, other.coeffs))
 
-    __rmul__ = __mul__
-
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
         out = self.field.one()
         base = self
         while k:
@@ -252,39 +233,9 @@ class FFElem:
             k >>= 1
         return out
 
-    def inverse(self):
-        if not any(self.coeffs):
-            raise ZeroDivisionError("zero in GF(p^m)")
-        return self ** (self.field.order - 2)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def multiplicative_order(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero has no multiplicative order")
-        n = self.field.order - 1
-        for r in factorize(n):
-            while n % r == 0 and (self ** (n // r)).coeffs == self.field.one().coeffs:
-                n //= r
-        return n
-
     def _check(self, other):
         if not isinstance(other, FFElem) or other.field != self.field:
             raise TypeError("mixed finite-field arithmetic")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FFElem)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"FFElem{list(self.coeffs)}@{self.field!r}"
 
 
 class CycReducer:

@@ -1,5 +1,5 @@
 """Reference implementations of the exact table algebra, written directly
-from the definitions with Cyc and FFElem arithmetic, one value at a time.
+from the definitions with Cyc arithmetic and CycReducer, one value at a time.
 
 The library computes the same things as integer matrix products on the
 table's integer encoding (`chartab.int_values`); the tests compare the two,
@@ -33,7 +33,7 @@ from sylowtab import simplerec
 from sylowtab.chartab import (CharTable, NormalSet, centralizer_order, is_p_element,
                               kernel_of, normal_lattice)
 from sylowtab.cyclo import Cyc, cyc_to_rat, cyclotomic_poly
-from sylowtab.gfpm import CycReducer, FFElem
+from sylowtab.gfpm import CycReducer
 from sylowtab.numutil import (euler_phi, factorize, is_prime, is_prime_power, lcm,
                               p_part, prime_divisors, valuation)
 from sylowtab.simplerec import SimpleId
@@ -91,7 +91,7 @@ def reference_validate(t: CharTable) -> list[str]:
     for c in range(t.k):
         s = Cyc.zero()
         for i in range(t.k):
-            s = s + t.chars[i][c].abs2()
+            s = s + t.chars[i][c] * t.chars[i][c].conjugate()
         val = cyc_to_rat(s)
         if val is None or val != Fraction(n, t.classes[c].size):
             bad.append(f"column orthogonality fails at class {c}")
@@ -107,7 +107,7 @@ def reference_centralizer_order(t: CharTable, c: int) -> int:
     """sum_i |chi_i(c)|^2 as a Cyc sum."""
     s = Cyc.zero()
     for i in range(t.k):
-        s = s + t.chars[i][c].abs2()
+        s = s + t.chars[i][c] * t.chars[i][c].conjugate()
     val = cyc_to_rat(s)
     if val is None or val.denominator != 1 or val <= 0:
         raise ValueError(f"non-integral centralizer order at class {c}")
@@ -135,10 +135,11 @@ def central_conductor(t: CharTable) -> int:
     return conductor
 
 
-def reference_blocks(t: CharTable, p: int) -> tuple[tuple[int, ...], ...]:
-    """p-blocks by reducing each central character value with one CycReducer."""
+def reference_blocks(t: CharTable, p: int, modulus=None) -> tuple[tuple[int, ...], ...]:
+    """p-blocks by reducing each central character value with one CycReducer,
+    over GF(p^m) built on `modulus` (default: the smallest irreducible)."""
     omegas = [central_character(t, i) for i in range(t.k)]
-    reducer = CycReducer(p, central_conductor(t))
+    reducer = CycReducer(p, central_conductor(t), modulus=modulus)
     keyed: dict[tuple, list[int]] = {}
     for i, row in enumerate(omegas):
         key = tuple(reducer.reduce(w).coeffs for w in row)
@@ -493,6 +494,7 @@ def has_small_centralizer_p_element(t: CharTable, p: int) -> bool:
                for c in range(t.k))
 
 
-def ideal_reduce(a: Cyc, p: int) -> FFElem:
-    """Reduce a cyclotomic integer modulo the fixed prime ideal over p."""
-    return CycReducer(p, a.n).reduce(a)
+def ideal_reduce(a: Cyc, p: int) -> tuple[int, ...]:
+    """The GF(p^m)-coefficients of a cyclotomic integer reduced modulo the
+    fixed prime ideal over p."""
+    return CycReducer(p, a.n).reduce(a).coeffs

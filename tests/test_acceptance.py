@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from sylowtab.blocks import abelian_sylow_test, count_height_zero_principal
-from sylowtab.chartab import centralizer_order, is_p_element, minimal_normals, validate
+from sylowtab.chartab import (NormalSet, centralizer_order, is_p_element, minimal_normals,
+                              validate)
 from sylowtab.detectors import (SOCLE_DATA_MISSING, _almost_simple_commutator,
                                 detect_center_index_p2,
                                 detect_commutator_index_p2)
@@ -248,7 +249,7 @@ def test_criterion_8_recognition(corpus):
 def test_criterion_9_honest_degradation(corpus):
     t = corpus.table("M11")
     fake = SimpleId("Alt", (20,), t.group_order)
-    v = _almost_simple_commutator(t, 2, fake, t.whole_group())
+    v = _almost_simple_commutator(t, 2, fake, NormalSet(frozenset(range(t.k)), t.group_order))
     unknown_ok = v.answer == "unknown" and SOCLE_DATA_MISSING in v.reason
     # the importer path used for beyond-oracle fixture tables stays available
     fixture = ("order 6\ncentralizers 6 2 3\norders 1 2 3\n"

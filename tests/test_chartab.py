@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sylowtab.chartab import (CharTable, ClassData, _tensor_basis,
+from sylowtab.chartab import (CharTable, ClassData, NormalSet, _tensor_basis,
                               centralizer_order, core_subgroups,
                               has_cyclic_sylow, int_values, is_p_element,
                               kernel_of, minimal_normals, normal_lattice,
@@ -94,7 +94,7 @@ def test_nilpotent_normal(corpus):
     a5 = next(ns for ns in normal_lattice(t) if ns.order == 60)
     assert not is_nilpotent_normal(t, a5)
     t = corpus.table("C12")
-    assert is_nilpotent_normal(t, t.whole_group())
+    assert is_nilpotent_normal(t, NormalSet(frozenset(range(t.k)), t.group_order))
 
 
 def test_has_cyclic_sylow(corpus):

@@ -1,7 +1,7 @@
 import pytest
 
-from sylowtab.chartab import (core_subgroups, has_cyclic_sylow, normal_lattice,
-                              quotient_table)
+from sylowtab.chartab import (NormalSet, core_subgroups, has_cyclic_sylow,
+                              normal_lattice, quotient_table)
 from sylowtab.corpus import _direct_product
 from sylowtab.detectors import (ABELIAN_TEST_PRECONDITION, CASE_D_O2_NOT_CENTRAL,
                                 LIE_DEGREE_PATTERN_UNTESTED, SOCLE_DATA_MISSING, Verdict,
@@ -137,7 +137,7 @@ def test_normal_p_abelian(corpus):
     t = corpus.table("SL(2,3)")
     q8 = next(ns for ns in normal_lattice(t) if ns.order == 8)
     assert detect_normal_p_abelian(t, q8, 2) is False
-    assert detect_normal_p_abelian(t, t.trivial_subgroup(), 2) is True
+    assert detect_normal_p_abelian(t, NormalSet(frozenset([0]), 1), 2) is True
 
 
 def test_normal_p_abelian_matches_the_cyc_reference(corpus):
@@ -176,14 +176,14 @@ def test_verdict_is_not_a_boolean():
 def test_unknown_socle_data_code(corpus):
     t = corpus.table("M11")
     fake = SimpleId("Alt", (20,), t.group_order)  # same order: v_p(G) = v_p(S)
-    v = _almost_simple_commutator(t, 2, fake, t.whole_group())
+    v = _almost_simple_commutator(t, 2, fake, NormalSet(frozenset(range(t.k)), t.group_order))
     assert v.answer == "unknown" and SOCLE_DATA_MISSING in v.reason
 
 
 def test_lie_degree_pattern_is_tagged(corpus):
     t = corpus.table("M11")
     fake = SimpleId("E6", (2,), t.group_order // 3)  # |G/S|_3 = 3
-    v = _almost_simple_commutator(t, 3, fake, t.whole_group())
+    v = _almost_simple_commutator(t, 3, fake, NormalSet(frozenset(range(t.k)), t.group_order))
     assert v.answer in ("yes", "no")
     assert LIE_DEGREE_PATTERN_UNTESTED in v.reason
 

@@ -1,8 +1,10 @@
-"""Every function and class in src/ serves the package.
+"""Every function, class and method in src/ serves the package.
 
 A module-level function or class that nothing else in src/ names, that
 `__all__` does not export and that is not the command-line entry point
-`cli.main` is code that only the tests call; it belongs under tests/.
+`cli.main` is code that only the tests call; it belongs under tests/.  So
+is a method of a src/ class whose name nothing in src/ reads, unless it
+is a dunder method, which Python calls by protocol.
 """
 
 import ast
@@ -44,9 +46,36 @@ def unused_definitions(modules: dict[str, ast.Module], exported) -> list[str]:
             and (stem, top.name) != ("cli", "main")]
 
 
+def unused_methods(modules: dict[str, ast.Module]) -> list[str]:
+    """module.Class.method of every method of a top-level class whose name
+    is read nowhere in `modules`; dunder methods are exempt."""
+    used = set()
+    for tree in modules.values():
+        used |= _names_used(tree)
+    return [f"{stem}.{top.name}.{fn.name}" for stem, tree in sorted(modules.items())
+            for top in tree.body if isinstance(top, ast.ClassDef)
+            for fn in top.body if isinstance(fn, ast.FunctionDef)
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and fn.name not in used]
+
+
+#: methods kept although nothing in src/ calls them: the benchmark tracer
+#: (perfbench/tracing.py) patches them by name, to count reductions and
+#: cyclotomic operations, until it reads an in-src stats collector instead
+#: (ROADMAP.md, item 2)
+KEPT_METHODS = {"gfpm.CycReducer.reduce", "cyclo.Cyc.conjugate"}
+
+
+def _src_modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+
 def test_no_src_definition_is_used_only_by_the_tests():
-    modules = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    assert unused_definitions(modules, sylowtab.__all__) == []
+    assert unused_definitions(_src_modules(), sylowtab.__all__) == []
+
+
+def test_no_src_method_is_used_only_by_the_tests():
+    assert sorted(set(unused_methods(_src_modules())) - KEPT_METHODS) == []
 
 
 def test_the_scan_flags_an_orphan_and_nothing_else():
@@ -58,3 +87,15 @@ def test_the_scan_flags_an_orphan_and_nothing_else():
         "cli": ast.parse("def main():\n    pass\n"),
     }
     assert unused_definitions(modules, ["api"]) == ["a.orphan"]
+
+
+def test_the_method_scan_flags_an_unread_method_and_nothing_else():
+    modules = {
+        "a": ast.parse("class A:\n"
+                       "    def __init__(self):\n        self.x = self.used()\n\n"
+                       "    def used(self):\n        return 1\n\n"
+                       "    def orphan(self):\n        return 2\n\n"
+                       "def f(b):\n    return b.called()\n"),
+        "b": ast.parse("class B:\n    def called(self):\n        return 3\n"),
+    }
+    assert unused_methods(modules) == ["a.A.orphan"]
