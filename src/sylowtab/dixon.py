@@ -1,18 +1,18 @@
 """Exact character tables by the Burnside-Dixon-Schneider method.
 
 Class-multiplication matrices are counted only for the classes the split
-needs (Schneider's refinement): the smallest classes first, with more
-added while the split shows characters still unseparated.  Each is
-counted over the elements of its class with one right multiplication per
-class representative, composed from the generators' index permutations
-along the representative's word (see perm.py).  Their simultaneous
-eigenvectors are found over GF(l) for a prime l = 1 (mod exp(G)) large
-enough to make integer lifting unique (l > 2*sqrt(|G|)) and to make a
-random split likely (l >= k^2, k the number of classes), and the
-character values are lifted to cyclotomic integers through a discrete
-Fourier inversion over power classes.  The class matrices never counted
-are never checked, so the lifted table must pass row and column
-orthogonality (`chartab.validate`) before it is returned.
+needs (Schneider's refinement): the smallest classes first, then more,
+each batch splitting only the parts the split already holds.  Each is
+counted over its class with one right multiplication per representative,
+composed from the generators' index permutations along the
+representative's word (see perm.py).  Their simultaneous eigenvectors are
+found over GF(l) for one prime l = 1 (mod exp(G)) large enough to make
+integer lifting unique (l > 2*sqrt(|G|)) and to make a random split
+likely (l >= k^2, k the number of classes), and the character values are
+lifted to cyclotomic integers through a discrete Fourier inversion over
+power classes.  The class matrices never counted are never checked, so
+the lifted table must pass row and column orthogonality
+(`chartab.validate`) before it is returned.
 
 The GF(l) stage follows Dixon (Numer. Math. 10, 1967) with integer
 numpy products on k x k matrices and no polynomial arithmetic.  A random
@@ -42,15 +42,14 @@ from .perm import PermGroup
 
 
 class DixonFailure(RuntimeError):
-    """Eigenvalue splitting failed for every attempted field, or the lifted
-    table failed validation."""
+    """No split attempt found k central characters, or the lift or `validate` failed."""
 
 
-def class_matrices(g: PermGroup, rows=None) -> np.ndarray:
-    """Class-algebra structure constants A[i] for the distinct class
-    indices i in rows (all classes by default), as one (len(rows), k, k)
-    int64 array: A[r, j, m] = a_{ijm} for i = rows[r], where
-    class_sum(i) * class_sum(j) = sum_m a_{ijm} * class_sum(m).
+def class_matrices(g: PermGroup, rows) -> np.ndarray:
+    """Class-algebra structure constants A[i] for the distinct class indices
+    i in rows, as one (len(rows), k, k) int64 array: A[r, j, m] = a_{ijm}
+    for i = rows[r], where class_sum(i) * class_sum(j) = sum_m a_{ijm} *
+    class_sum(m).
 
     a_{ijm} is the number of x in C_i with x^-1 * z_m in C_j, z_m the
     representative of class m, so only the elements of the classes in
@@ -61,7 +60,6 @@ def class_matrices(g: PermGroup, rows=None) -> np.ndarray:
     """
     cd = g.conjugacy_data()
     k = len(cd.reps)
-    rows = range(k) if rows is None else rows
     slot = np.full(k, -1)
     slot[list(rows)] = np.arange(len(rows))
     xs = np.flatnonzero(slot[cd.class_of] >= 0)
@@ -88,8 +86,8 @@ def _matrix_power(B, e, l):
         B = B @ B % l
 
 
-def _choose_ell(exponent: int, order: int, k: int, skip: int = 0) -> int:
-    """The (skip+1)-th prime l = 1 (mod exponent) above max(2*sqrt(order)+2, k^2).
+def _choose_ell(exponent: int, order: int, k: int) -> int:
+    """The first prime l = 1 (mod exponent) above max(2*sqrt(order)+2, k^2).
 
     l > 2*sqrt(|G|) makes the lift of every value unique.  l >= k^2 makes a
     split attempt fail with probability at most 1/2: the eigenvalues of two
@@ -98,13 +96,9 @@ def _choose_ell(exponent: int, order: int, k: int, skip: int = 0) -> int:
     """
     bound = max(2 * isqrt(order) + 2, k * k)
     l = exponent + 1
-    found = 0
-    while True:
-        if l > bound and is_prime(l):
-            if found == skip:
-                return l
-            found += 1
+    while l <= bound or not is_prime(l):
         l += exponent
+    return l
 
 
 # -- the main engine --------------------------------------------------
@@ -114,80 +108,72 @@ def _choose_ell(exponent: int, order: int, k: int, skip: int = 0) -> int:
 #: small counts every class matrix
 SCAN_BUDGET = 2048
 
-#: rounds of the eigenvector split before it gives up
+#: rounds of the eigenvector split before it returns the parts it has
 SPLIT_ROUNDS = 32
 
-#: split attempts at each of the four primes l before dixon_table gives up
-MAX_ATTEMPTS = 8
+#: split attempts, each from a new random vector, before dixon_table gives up
+MAX_ATTEMPTS = 32
 
 
-class _Unseparated(Exception):
-    """The class matrices in use split a random vector into only args[0] < k
-    eigenvectors: they may not separate the characters."""
-
-
-def dixon_table(g: PermGroup, seed: int = 1) -> CharTable:
+def dixon_table(g: PermGroup) -> CharTable:
     """The exact character table of an enumerated permutation group.
 
-    The split starts from the class matrices of the smallest classes, by
-    size then index, whose sizes sum to at most SCAN_BUDGET.  A split into
-    r < k eigenvectors shows only r distinct eigenvalues among k
-    characters; then the next 2 * (k - r) classes are added.  Any split
-    into k distinct eigenvalues gives the true central characters, so the
-    table does not depend on the classes used; a table that fails
-    `validate` raises DixonFailure.
+    Each attempt splits one random vector, first with the class matrices
+    of the smallest classes, by size then index, whose sizes sum to at most
+    SCAN_BUDGET.  While it has r < k parts, the next 2 * (k - r) classes
+    split those parts further.  k parts are the central characters, so the
+    table does not depend on the classes used; an attempt that runs out of
+    classes is followed by a new one.  A failed lift or `validate` raises
+    DixonFailure.
     """
     cd = g.conjugacy_data()
     k = len(cd.reps)
-    n = g.order
     classes = tuple(ClassData(size=int(s), element_order=o)
                     for s, o in zip(cd.sizes, cd.orders))
     power_maps = {p: tuple(m) for p, m in cd.power_maps.items()}
     if k == 1:
         return CharTable(1, classes, power_maps, ((Cyc.one(),),), name=g.name)
-    e = g.exponent()
     by_size = sorted(range(k), key=lambda c: (cd.sizes[c], c))
+    first = int(np.searchsorted(np.cumsum(cd.sizes[by_size]), SCAN_BUDGET, "right"))
     mats = {}  # class index -> its class matrix
 
-    def counted(count):
-        """The class matrices of the `count` smallest classes, by class index."""
-        new = by_size[len(mats):count]
-        mats.update(zip(new, class_matrices(g, new)))
-        return np.stack([mats[c] for c in sorted(mats)])
+    def counted(batch):  # the class matrices of batch, by class index
+        new = [c for c in batch if c not in mats]
+        if new:
+            mats.update(zip(new, class_matrices(g, new)))
+        return np.stack([mats[c] for c in sorted(batch)])
 
-    A = counted(int(np.searchsorted(np.cumsum(cd.sizes[by_size]), SCAN_BUDGET, "right")))
+    l = _choose_ell(g.exponent(), g.order, k)
+    dt = int_dtype(k * (l - 1) ** 2)
+    rng = random.Random(1)
+    for _ in range(MAX_ATTEMPTS):
+        V = _common_eigenvectors(counted(by_size[:first]), None, l, dt, rng)
+        used = first
+        while V.shape[1] < k and used < k:
+            batch = by_size[used:used + 2 * (k - V.shape[1])]
+            used += len(batch)
+            V = _common_eigenvectors(counted(batch), V, l, dt, rng)
+        if V.shape[1] == k:
+            break
+    else:
+        raise DixonFailure(f"{g.name or 'group'}: no split in {MAX_ATTEMPTS} attempts")
     inv_class = cd.class_of[g.inverse_indices()[cd.reps]].tolist()
-    rng = random.Random(seed)
-    for ell_round in range(4):
-        l = _choose_ell(e, n, k, skip=ell_round)
-        attempts = 0
-        while attempts < MAX_ATTEMPTS:
-            try:
-                V = _common_eigenvectors(A, k, l, rng)
-            except _Unseparated as exc:
-                A = counted(len(mats) + 2 * (k - exc.args[0]))
-                continue
-            attempts += 1
-            if V is None:
-                continue
-            chars = _lift_characters(g, cd, V, inv_class, l)
-            if chars is not None:
-                table = CharTable(n, classes, power_maps, chars, name=g.name)
-                bad = validate(table)
-                if bad:
-                    raise DixonFailure(f"{g.name or 'group'}: lifted table fails: {bad[0]}")
-                return table
-    raise DixonFailure(f"no split found for {g.name or 'group'} after all retries")
+    chars = _lift_characters(g, cd, V, inv_class, l)
+    table = CharTable(g.order, classes, power_maps, chars, name=g.name)
+    bad = validate(table)
+    if bad:
+        raise DixonFailure(f"{g.name or 'group'}: lifted table fails: {bad[0]}")
+    return table
 
 
-def _common_eigenvectors(A, k, l, rng):
-    """The k common eigenvectors of the class matrices A (r, k, k) mod l,
-    as the columns of a k x k array normalized to 1 in row 0, or None.
-    With fewer than k class matrices, a split into fewer than k
-    eigenvectors raises _Unseparated.
+def _common_eigenvectors(A, W, l, dt, rng):
+    """The parts of the columns of W (k, r), or of a random vector when W
+    is None, in the eigenspaces of a random combination M of the class
+    matrices A (s, k, k) mod l: one column of dtype dt per distinct
+    eigenvalue of M met by each column.
 
     M = sum_i c_i A[i] for random c is diagonalizable, since the class
-    algebra over GF(l) is split semisimple.  A random v0 is split into its
+    algebra over GF(l) is split semisimple.  A column w is split into its
     components in the eigenspaces of M by power-character projectors: for
     random a and r | l - 1, B = (M + aI)^((l-1)/r) acts as the r-th root
     of unity (lam + a)^((l-1)/r) on the eigenspace of lam, and as 0 on
@@ -195,17 +181,19 @@ def _common_eigenvectors(A, k, l, rng):
     times the part of w in the eigenspaces where B is zeta_r^i, and
     w - B^r w is the part in the eigenspace of -a (the powers start at B^1
     so that this part stays out of the others).  Each round replaces
-    every column w by its nonzero parts and moves the columns that M maps
-    to a multiple of themselves to the result: one per distinct
-    eigenvalue of M met by v0.  When there are k of them, every
-    eigenspace of M is a line, and so also one of each class matrix.
+    every column by its nonzero parts and moves those that M maps to a
+    multiple of themselves to the result; columns still joined after
+    SPLIT_ROUNDS rounds are dropped.  M commutes with the earlier class
+    matrices, so parts of their common eigenvectors W are common
+    eigenvectors too, and k parts span k lines: the central characters.
     """
-    dt = int_dtype(k * (l - 1) ** 2)
     A = A.astype(dt) % l
+    k = A.shape[1]
     coeffs = np.array([rng.randrange(l) for _ in range(len(A))], dtype=dt)
     M = np.tensordot(coeffs, A, axes=1) % l
+    if W is None:
+        W = np.array([[rng.randrange(l)] for _ in range(k)], dtype=dt)
     root = primitive_root(l)
-    W = np.array([[rng.randrange(l)] for _ in range(k)], dtype=dt)
     found = []
     for _ in range(SPLIT_ROUNDS):
         MW = M @ W % l
@@ -229,21 +217,12 @@ def _common_eigenvectors(A, k, l, rng):
         parts = np.tensordot(Z, np.stack(Y[1:]), axes=1) % l
         W = np.concatenate([*parts, (W - Y[-1]) % l], axis=1)
         W = W[:, (W != 0).any(axis=0)]
-    else:
-        return None
-    V = np.concatenate(found, axis=1)
-    if V.shape[1] < k:
-        if len(A) < k:
-            raise _Unseparated(V.shape[1])
-        return None
-    if (V[0] == 0).any():
-        return None
-    return V * np.array([pow(int(x), -1, l) for x in V[0]], dtype=dt) % l
+    return np.concatenate(found, axis=1)
 
 
 def _lift_characters(g, cd, V, inv_class, l):
-    """The sorted character rows from the eigenvectors V, or None when a
-    degree, a coefficient bound or a coefficient sum rules the split out.
+    """The sorted character rows from the central characters V (k, k) mod l,
+    one per column in any scale; a check that rules V out raises DixonFailure.
 
     The values at class m of order o are the discrete Fourier transform
     over GF(l) of the characters at the powers of its representative (the
@@ -258,7 +237,9 @@ def _lift_characters(g, cd, V, inv_class, l):
     n = g.order
     orders = [int(o) for o in cd.orders]
     dt = int_dtype(max(k, *orders) * (l - 1) ** 2)
-    V = V.astype(dt)
+    if (V[0] == 0).any():
+        raise DixonFailure("a central character is 0 at the identity")
+    V = V.astype(dt) * np.array([pow(int(x), -1, l) for x in V[0]], dtype=dt) % l
     X = V * np.array([pow(int(s), -1, l) for s in cd.sizes], dtype=dt)[:, None] % l
     # a degree d has d^2 <= n and l > 2 sqrt(n), so d is the only root of
     # d^2 = n / s (mod l) in 1 .. isqrt(n)
@@ -267,10 +248,10 @@ def _lift_characters(g, cd, V, inv_class, l):
     for s in ((X * V[inv_class] % l).sum(axis=0) % l).tolist():
         d = roots.get(n * pow(s, -1, l) % l)
         if d is None:
-            return None
+            raise DixonFailure("a central character has no degree")
         degrees.append(d)
     if sum(d * d for d in degrees) != n:
-        return None
+        raise DixonFailure("the squared degrees do not sum to the group order")
     D = np.array(degrees, dtype=dt)
     chis = X * D % l  # chis[m, i] = chi_i(class m) mod l
     root = primitive_root(l)
@@ -286,8 +267,10 @@ def _lift_characters(g, cd, V, inv_class, l):
         P = np.array([cd.power_classes[m] for m in ms])
         # C[c, i, j]: coefficient of zeta_o^j in chi_i at class ms[c]
         C = chis[P].transpose(0, 2, 1) @ F % l * pow(o, -1, l) % l
-        if (C > D[:, None]).any() or (C.sum(axis=2) != D).any():
-            return None
+        if (C > D[:, None]).any():
+            raise DixonFailure(f"a coefficient at order {o} exceeds its degree")
+        if (C.sum(axis=2) != D).any():
+            raise DixonFailure(f"coefficients at order {o} do not sum to the degree")
         # rows of sum_j C[i, j] zeta_o^j on the power basis; each row of C
         # sums to a degree, so entries stay below max(D) * max|R|
         R = power_matrix(o)
@@ -300,18 +283,12 @@ def _lift_characters(g, cd, V, inv_class, l):
             values.append(memo[key])
         for c, m in enumerate(ms):
             cols[m] = values[c * k:(c + 1) * k]
-    rows = sorted(zip(*cols), key=_char_sort_key)
-    if any(v != Cyc.one() for v in rows[0]):
-        # the trivial character must sort first (degree 1, all values 1)
-        trivial = next(i for i, r in enumerate(rows) if all(v == Cyc.one() for v in r))
-        rows.insert(0, rows.pop(trivial))
-    return tuple(rows)
+    return tuple(sorted(zip(*cols), key=_char_sort_key))
 
 
 def _char_sort_key(row):
-    def cyc_key(a):
-        return (a.n, tuple(sorted((e, c.numerator, c.denominator)
-                                  for e, c in a.coeffs.items())))
-
-    deg = row[0]
-    return (cyc_key(deg), tuple(cyc_key(v) for v in row))
+    """The trivial character first (degree 1, all values 1), then by the
+    conductor and coefficients of each value in turn."""
+    return (any(v != Cyc.one() for v in row),
+            tuple((v.n, sorted((e, c.numerator, c.denominator) for e, c in v.coeffs.items()))
+                  for v in row))

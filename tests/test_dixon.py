@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sylowtab import cyclo, dixon
-from sylowtab.chartab import centralizer_order, validate
+from sylowtab.chartab import centralizer_order, int_dtype, validate
 from sylowtab.corpus import corpus_entries
 from sylowtab.cyclo import Cyc, cyc_to_rat
 from sylowtab.dixon import dixon_table
@@ -67,9 +67,9 @@ def test_trivial_character_is_row_zero(corpus):
         assert all(t.chars[0][c] == Cyc.one() for c in range(t.k))
 
 
-def test_deterministic_given_seed(corpus):
+def test_deterministic(corpus):
     g = corpus.group("S4")
-    assert dixon_table(g, seed=5).chars == dixon_table(g, seed=5).chars
+    assert dixon_table(g).chars == dixon_table(g).chars
 
 
 # -- pinned tables, prime choice, the Python-int path and the work guard ---
@@ -91,26 +91,22 @@ def test_relabelled_points_give_the_same_table(corpus, name):
         assert emit_table(dixon_table(relabelled(corpus.entry(name), seed))) == text
 
 
-def test_every_corpus_group_splits_at_its_first_prime(corpus, monkeypatch):
-    rounds = []
-    choose = dixon._choose_ell
-
-    def recording(exponent, order, k, skip=0):
-        rounds.append(skip)
-        return choose(exponent, order, k, skip)
-
-    monkeypatch.setattr(dixon, "_choose_ell", recording)
+def test_every_corpus_group_splits_within_eight_attempts(corpus, monkeypatch):
+    # an attempt starts with a split of a random vector (W is None)
+    starts = []
+    split = dixon._common_eigenvectors
+    monkeypatch.setattr(dixon, "_common_eigenvectors",
+                        lambda A, W, *args: starts.append(W is None) or split(A, W, *args))
     for name in CORPUS_NAMES:
-        rounds.clear()
+        starts.clear()
         dixon_table(corpus.group(name))
-        assert rounds in ([], [0]), name  # [] for the trivial group
+        assert 0 < sum(starts) <= 8, name
 
 
 def test_prime_is_at_least_k_squared():
     # C2 x C2 x C2: exponent 2, k = 8; 2*sqrt(8) + 2 alone would give l = 7
     assert dixon._choose_ell(2, 8, 8) == 67
     assert dixon._choose_ell(12, 24, 5) == 37  # 2*sqrt(24) + 2 = 11 < 25
-    assert dixon._choose_ell(12, 24, 5, skip=1) == 61
 
 
 # S4 and SL(2,3) at l > 2^32 take the Python-int path throughout.  M11
@@ -129,11 +125,12 @@ def test_python_int_path_above_int64(corpus, name, start, split_dtype):
     e = g.exponent()
     l = next(x for x in itertools.count((start // e + 1) * e + 1, e) if is_prime(x))
     assert max(cd.orders) * (l - 1) ** 2 >= 1 << 63
-    A = dixon.class_matrices(g)
+    A = dixon.class_matrices(g, range(k))
     inv_class = cd.class_of[g.inverse_indices()[cd.reps]].tolist()
+    dt = int_dtype(k * (l - 1) ** 2)
     rng = random.Random(3)
-    V = next(V for V in (dixon._common_eigenvectors(A, k, l, rng) for _ in range(8))
-             if V is not None)
+    V = next(V for V in (dixon._common_eigenvectors(A, None, l, dt, rng) for _ in range(8))
+             if V.shape[1] == k)
     assert V.dtype == split_dtype
     assert dixon._lift_characters(g, cd, V, inv_class, l) == dixon_table(g).chars
 
@@ -164,8 +161,9 @@ def _diagonalizable(eigenvalues, l):
     return S * np.array(eigenvalues) @ S_inv % l, S * scale % l
 
 
-def _columns(V):
-    return sorted(tuple(int(x) for x in col) for col in V.T)
+def _columns(V, l):
+    """The columns of V scaled to 1 in row 0, sorted."""
+    return sorted(tuple(int(x) * pow(int(col[0]), -1, l) % l for x in col) for col in V.T)
 
 
 @pytest.mark.parametrize("eigenvalues", [[0, 1, 12], [3, 0, 5, 9, 11]])
@@ -176,18 +174,16 @@ def test_split_finds_eigenvalue_zero_and_minus_a(eigenvalues):
     k = len(eigenvalues)
     for a in range(l):
         rng = _ScriptedRng([1] + [1 + i for i in range(k)] + [a], seed=a)
-        V = dixon._common_eigenvectors(M[None], k, l, rng)
-        assert V is not None and _columns(V) == _columns(S), a
+        V = dixon._common_eigenvectors(M[None], None, l, np.int64, rng)
+        assert _columns(V, l) == _columns(S, l), a
 
 
 def test_split_of_a_repeated_eigenvalue_counts_distinct_eigenvalues():
     l = 101
     M, _ = _diagonalizable([2, 2, 5, 7], l)
-    with pytest.raises(dixon._Unseparated) as exc:
-        dixon._common_eigenvectors(M[None], 4, l, _ScriptedRng([1]))
-    assert exc.value.args == (3,)
-    # with a class matrix per class, a repeated eigenvalue is a failed attempt
-    assert dixon._common_eigenvectors(np.stack([M] * 4), 4, l, random.Random(0)) is None
+    for A in (M[None], np.stack([M] * 4)):
+        V = dixon._common_eigenvectors(A, None, l, np.int64, _ScriptedRng([1]))
+        assert V.shape == (4, 3) and (M @ V % l * V[0] % l == V * (M @ V % l)[0] % l).all()
 
 
 def test_split_of_a_jordan_block_gives_up_within_the_round_bound(monkeypatch):
@@ -198,7 +194,9 @@ def test_split_of_a_jordan_block_gives_up_within_the_round_bound(monkeypatch):
     monkeypatch.setattr(dixon, "_matrix_power",
                         lambda B, e, l: powers.append(e) or matrix_power(B, e, l))
     A = np.stack([M] * 3)
-    assert dixon._common_eigenvectors(A, 3, l, random.Random(0)) is None
+    V = dixon._common_eigenvectors(A, None, l, np.int64, random.Random(0))
+    # only multiples of e0 and e2 are eigenvectors, and only they are returned
+    assert (V[1] == 0).all() and (V != 0).any(axis=0).all()
     assert 0 < len(powers) <= dixon.SPLIT_ROUNDS
 
 
@@ -247,7 +245,7 @@ def test_unseparated_start_adds_classes_and_counts_each_once(corpus, monkeypatch
     calls = []
     counted = dixon.class_matrices
 
-    def recording(g, rows=None):
+    def recording(g, rows):
         calls.append(list(rows))
         return counted(g, rows)
 
@@ -258,12 +256,30 @@ def test_unseparated_start_adds_classes_and_counts_each_once(corpus, monkeypatch
     assert len(calls) > 1 and len(rows) == len(set(rows)) <= k
 
 
+def test_each_later_split_receives_the_parts_of_the_one_before(corpus, monkeypatch):
+    # A8's first batch leaves characters joined, and its later batches
+    # split only the parts already found
+    g = corpus.group("A8")
+    calls = []
+    split = dixon._common_eigenvectors
+
+    def recording(A, W, *args):
+        calls.append((W, split(A, W, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dixon, "_common_eigenvectors", recording)
+    assert dixon_table(g).chars == corpus.table("A8").chars
+    assert calls[0][0] is None and len(calls) > 1
+    for (_, before), (W, _) in zip(calls, calls[1:]):
+        assert W is not None and np.array_equal(W, before)
+
+
 def test_small_group_counts_every_class_at_once(corpus, monkeypatch):
     g = corpus.group("A5xQ8")
     calls = []
     counted = dixon.class_matrices
     monkeypatch.setattr(dixon, "class_matrices",
-                        lambda g, rows=None: calls.append(list(rows)) or counted(g, rows))
+                        lambda g, rows: calls.append(list(rows)) or counted(g, rows))
     dixon_table(g)
     k = len(g.conjugacy_data().reps)
     assert g.order <= dixon.SCAN_BUDGET and [sorted(c) for c in calls] == [list(range(k))]
@@ -285,3 +301,36 @@ def test_lifted_table_with_two_values_swapped_is_rejected(corpus, monkeypatch, n
     monkeypatch.setattr(dixon, "_lift_characters", swapped)
     with pytest.raises(dixon.DixonFailure):
         dixon_table(g)
+
+
+@pytest.mark.parametrize("corrupt,reason", [
+    ("zero_at_identity", "0 at the identity"),
+    ("random_column", "no degree"),
+    ("duplicated_column", "squared degrees"),
+    ("swapped_inverse_classes", "exceeds its degree"),
+])
+def test_lift_rejects_wrong_central_characters(corpus, monkeypatch, corrupt, reason):
+    # SL(2,3) has classes that are not their own inverse: swapping the
+    # values at x and x^-1 keeps every degree but not the coefficients
+    g = corpus.group("SL(2,3)")
+    cd = g.conjugacy_data()
+    inv_class = cd.class_of[g.inverse_indices()[cd.reps]].tolist()
+    found = []
+    split = dixon._common_eigenvectors
+    monkeypatch.setattr(dixon, "_common_eigenvectors",
+                        lambda *args: found.append(split(*args)) or found[-1])
+    dixon_table(g)
+    V, k = found[-1].copy(), len(cd.reps)
+    l = dixon._choose_ell(g.exponent(), g.order, k)
+    if corrupt == "zero_at_identity":
+        V[0, 1] = 0
+    elif corrupt == "random_column":
+        V[:, 1] = np.arange(1, k + 1) * 7 % l
+    elif corrupt == "duplicated_column":
+        V[:, 1] = V[:, 0]
+    else:
+        m = next(m for m in range(k) if inv_class[m] != m)
+        j = next(j for j in range(k) if V[m, j] != V[inv_class[m], j])
+        V[[m, inv_class[m]], j] = V[[inv_class[m], m], j]
+    with pytest.raises(dixon.DixonFailure, match=reason):
+        dixon._lift_characters(g, cd, V, inv_class, l)
