@@ -62,11 +62,11 @@ def class_matrices(g: PermGroup, rows) -> np.ndarray:
     k = len(cd.reps)
     slot = np.full(k, -1)
     slot[list(rows)] = np.arange(len(rows))
-    xs = np.flatnonzero(slot[cd.class_of] >= 0)
-    row = slot[cd.class_of[xs]] * k
+    xs = np.flatnonzero(slot.take(cd.class_of) >= 0)
+    row = slot.take(cd.class_of[xs]) * k
     A = np.empty((len(rows), k, k), dtype=np.int64)
     for rep, y in g.right_mults(g.inverse_indices()[xs], cd.reps):
-        A[:, :, cd.class_of[rep]] = np.bincount(row + cd.class_of[y],
+        A[:, :, cd.class_of[rep]] = np.bincount(row + cd.class_of.take(y),
                                                 minlength=len(rows) * k).reshape(-1, k)
     return A
 

@@ -4,13 +4,17 @@ Elements are enumerated breadth-first over the generators, one level at a
 time, so the ordering is deterministic and the identity is always element
 0.  They are stored as one (order x degree) array of the narrowest
 unsigned type that holds a point (uint8 up to degree 256), and each
-records its BFS parent and generator: a word in the generators.
+records its BFS parent and generator: a word in the generators.  Each
+per-element array is allocated once, at the order the chain gives, and
+filled level by level.  Element indices take one dtype, int32 while
+order x max(degree, #generators) < 2^31; a stored int32 index array is
+read through ``take``, since fancy indexing casts it on every call.
 
 Elements are indexed through a stabilizer chain (Sims 1970; Seress,
 *Permutation Group Algorithms*, 2003, ch. 4): base points b_1..b_k and the
 orbits D_i of b_i under the stabilizer of b_1..b_{i-1}, which give the
 order prod |D_i| before enumeration.  An element is fixed by its base
-images: one dense int32 table per base point maps (node, image of b_i) to
+images: one dense table per base point maps (node, image of b_i) to
 the next node, and the leaf holds the BFS index, -1 while unseen.  Level i
 has prod_{j<i} |D_j| nodes of degree entries, so the tables hold at most
 order x degree entries.  A lookup is k table reads and a comparison of the
@@ -54,6 +58,11 @@ _BATCH_ROWS = 1 << 16
 
 class CapExceeded(RuntimeError):
     """Raised when a group closure exceeds the configured element cap."""
+
+
+def index_dtype(order: int, width: int) -> type:
+    """Dtype of indices below order * width (width products per element)."""
+    return np.int32 if order * width < 2**31 else np.int64
 
 
 def perm_from_cycles(degree: int, cycles) -> list[int]:
@@ -163,13 +172,13 @@ class PermGroup:
 
     # -- enumeration --------------------------------------------------
 
-    def _build_tables(self) -> None:
-        """The base, the inner tables and an empty leaf, from the stabilizer
-        chain (CapExceeded when its order exceeds the cap)."""
+    def _build_tables(self) -> int:
+        """The base, the inner tables and an empty leaf in the index dtype from
+        the stabilizer chain; returns the order (CapExceeded above the cap)."""
         base, orbits = stabilizer_chain(self.degree, self.generators, self.cap)
         order = math.prod(map(len, orbits))
         # entries hold slots and, while enumerating, product positions
-        dtype = np.int32 if order * max(self.degree, len(self.generators)) < 2**31 else np.int64
+        dtype = index_dtype(order, max(self.degree, len(self.generators)))
         # a node of level i is w = u_{i-1} ... u_1 (u_j in the transversal of
         # level j); the elements below it with x[b_i] = w[a] go on to u_a w
         nodes, self._tables = np.arange(self.degree, dtype=self._dtype)[None, :], []
@@ -183,6 +192,7 @@ class PermGroup:
                 nodes = nodes[:, [orb[a][0] for a in pts]].reshape(-1, self.degree)
         self._leaf = np.full(order // len(orbits[-1]) * self.degree, -1, dtype=dtype)
         self._base = np.array(base)
+        return order
 
     def _slots(self, cols) -> np.ndarray:
         """Leaf slots of elements from their images of b_1..b_k (k columns), one
@@ -203,23 +213,23 @@ class PermGroup:
         """
         if self._elements is not None:
             return self._elements
-        self._build_tables()
+        order = self._build_tables()
         leaf, base = self._leaf, self._base
-        frontier = np.arange(self.degree, dtype=self._dtype)[None, :]
-        leaf[self._slots(frontier[:, base].T)] = 0
         gen_rows, gen_ids = np.stack(self.generators), np.arange(len(self.generators) + 1)
-        levels, parents, gens, rights = [frontier], [np.array([-1])], [np.array([-1])], []
-        start, count = 0, 1  # index of the first frontier element; elements so far
+        # every array at its full size, each BFS level filled in place
+        E = np.empty((order, self.degree), dtype=self._dtype)
+        E[0] = np.arange(self.degree)
+        parent, gen = np.full(order, -1, dtype=leaf.dtype), np.full(order, -1, dtype=leaf.dtype)
+        right = np.empty((len(gen_rows), order), dtype=leaf.dtype)
+        leaf[self._slots(E[:1, base].T)] = 0
+        bounds = [0, 1]  # BFS level i is [bounds[i], bounds[i+1])
         while True:
-            width = len(frontier)
-            images = np.take(gen_rows, frontier[:, base].T, axis=1)  # [g, i, x]: g[x[b_i]]
-            slot = self._slots(images.transpose(1, 0, 2)).reshape(-1)
+            lo, hi = bounds[-2:]
+            images = np.take(gen_rows, E[lo:hi, base].T, axis=1)  # [g, i, x]: g[x[b_i]]
+            slot = self._slots(images.transpose(1, 0, 2)).reshape(-1).astype(np.intp)
             idx = leaf[slot]
-            rights.append(idx.reshape(len(gen_rows), width))
-            new = np.flatnonzero(idx < 0)
-            if not len(new):
-                break
             # new elements are numbered in order of their first product, which wins
+            new = np.flatnonzero(idx < 0)
             at = slot[new]
             leaf[at[::-1]] = new[::-1]
             won = leaf[at]
@@ -227,29 +237,27 @@ class PermGroup:
                 np.minimum.at(leaf, at, new)
                 won = leaf[at]
             first = new[won == new]
-            leaf[slot[first]] = np.arange(count, count + len(first))
+            leaf[slot[first]] = np.arange(hi, hi + len(first))
             idx[new] = leaf[at]
-            gen, parent = np.divmod(first, width)
-            parents.append(start + parent)
-            gens.append(gen)
-            start, count = start + width, count + len(first)
-            runs = np.searchsorted(gen, gen_ids)  # gen is ascending
-            frontier = np.concatenate([g[frontier[parent[lo:hi]]] for g, lo, hi
-                                       in zip(gen_rows, runs[:-1], runs[1:])])
-            levels.append(frontier)
-        E = np.concatenate(levels)
+            right[:, lo:hi] = idx.reshape(len(gen_rows), -1)
+            if not len(first):
+                break
+            top = hi + len(first)
+            gen[hi:top], parent[hi:top] = np.divmod(first, hi - lo)
+            parent[hi:top] += lo
+            runs = np.searchsorted(gen[hi:top], gen_ids)  # ascending
+            for g, a, b in zip(gen_rows, runs[:-1], runs[1:]):
+                E[hi + a:hi + b] = g[E.take(parent[hi + a:hi + b], 0)]
+            bounds.append(top)
+        self._parent, self._gen, self._right_gens, self._level_bounds = parent, gen, right, bounds
         self._elements = E
-        self._parent = np.concatenate(parents)
-        self._gen = np.concatenate(gens)
-        self._level_bounds = np.cumsum([0] + [len(level) for level in levels]).tolist()
-        self._right_gens = np.concatenate(rights, axis=1, dtype=np.int64)
         return E
 
     def _rooted(self, start) -> np.ndarray:
-        """An int64 array of shape start.shape + (order,) holding start at
-        the identity, for ``_along_tree`` to fill."""
+        """An array of shape start.shape + (order,) in the index dtype (the
+        leaf's) holding start at the identity, for ``_along_tree`` to fill."""
         start = np.asarray(start)
-        out = np.empty(start.shape + (self.order,), dtype=np.int64)
+        out = np.empty(start.shape + (self.order,), dtype=self._leaf.dtype)
         out[..., 0] = start
         return out
 
@@ -257,11 +265,11 @@ class PermGroup:
         """Fill out[..., x] = table[h, out[..., p]] for every x = p * h (p its
         BFS parent, h its generator) on the given BFS levels, by default all
         after the identity's; each level reads the ones before it.  One
-        gather per level; returns out."""
-        bounds = self._level_bounds
+        gather per level, a ``take`` on the flattened table; returns out."""
+        bounds, n = self._level_bounds, table.shape[-1]
         for lev in range(1, len(bounds) - 1) if levels is None else levels:
             lo, hi = bounds[lev], bounds[lev + 1]
-            out[..., lo:hi] = table[self._gen[lo:hi], out[..., self._parent[lo:hi]]]
+            out[..., lo:hi] = table.take(self._gen[lo:hi] * n + out.take(self._parent[lo:hi], -1))
         return out
 
     def inverse_indices(self) -> np.ndarray:
@@ -289,7 +297,7 @@ class PermGroup:
         non-member, including a row with an entry outside 0..degree-1."""
         E, rows = self.elements(), np.asarray(rows)
         idx = self._leaf.take(self._slots(rows[:, self._base].T), mode="clip")
-        wrong = (E[idx] != rows).any(axis=1)  # an unseen slot reads -1, the last element
+        wrong = (E.take(idx, 0) != rows).any(axis=1)  # an unseen slot reads -1, the last element
         if wrong.any():
             raise KeyError(f"not a group element: {rows[wrong.argmax()].tolist()}")
         return idx
@@ -310,7 +318,7 @@ class PermGroup:
                           min(len(word), len(prev)))
             del chain[shared + 1:]
             for w in word[shared:]:
-                chain.append(self._right_gens[w][chain[-1]])
+                chain.append(self._right_gens[w].take(chain[-1]))
             prev = word
             yield i, chain[-1]
 
@@ -359,23 +367,25 @@ class PermGroup:
         # inversion is (p * h)^-1 = h^-1 * p^-1
         ginv = self.index_batch(np.stack([np.argsort(g) for g in self.generators]))
         left = self._along_tree(self._right_gens, self._rooted(ginv))
-        self._conj_gens = np.take_along_axis(self._right_gens, left, axis=1)
         self._inverse_idx = self._along_tree(left, self._rooted(0))
+        for right, row in zip(self._right_gens, left):
+            right.take(row, out=row)  # buffered: row becomes x -> g^-1 x g
+        self._conj_gens = left
         # grow each orbit from its least element, taking those in increasing
         # order; conjugation by the generators alone reaches the whole orbit
         unseen = np.ones(n, dtype=bool)
-        class_of = np.empty(n, dtype=np.int64)
-        slot = np.empty(n, dtype=np.int64)  # scratch: drops repeats from a level
+        class_of = np.empty(n, dtype=left.dtype)
+        slot = np.empty(n, dtype=left.dtype)  # scratch: drops repeats from a level
         reps, rep = [], 0
         while True:
             frontier = np.array([rep])
             unseen[rep] = False
             while len(frontier):
                 class_of[frontier] = len(reps)
-                reached = self._conj_gens[:, frontier].ravel()
+                reached = self._conj_gens.take(frontier, 1).ravel().astype(np.intp)
                 reached = reached[unseen[reached]]
                 unseen[reached] = False
-                slot[reached] = at = np.arange(len(reached))
+                slot[reached] = at = np.arange(len(reached), dtype=slot.dtype)
                 frontier = reached[slot[reached] == at]
             reps.append(rep)
             rep += int(unseen[rep:].argmax())
@@ -455,12 +465,12 @@ class PermGroup:
             """The first p-part outside P of a normalizing element outside P."""
             for lev in range(1, len(bounds) - 1):
                 lo, hi = bounds[lev], bounds[lev + 1]
-                mask = singular[cd.class_of[lo:hi]] & ~is_member[lo:hi]
+                mask = singular.take(cd.class_of[lo:hi]) & ~is_member[lo:hi]
                 for r, c in enumerate(conj):
                     if filled[r] == lev:
                         self._along_tree(self._conj_gens, c, [lev])
                         filled[r] += 1
-                    mask &= is_member[c[lo:hi]]
+                    mask &= is_member.take(c[lo:hi])
                 xs = lo + np.flatnonzero(mask)
                 ys = self.pow_indices(xs, cofactor[cd.class_of[xs]]) if len(xs) else xs
                 if not is_member[ys].all():

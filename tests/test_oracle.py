@@ -1,11 +1,13 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sylowtab.corpus import _psl2_perms, _sym, build_group, corpus_entries, corpus_entry
 from sylowtab.dixon import class_matrices, dixon_table
-from sylowtab.perm import (DEFAULT_CAP, CapExceeded, PermGroup, perm_from_cycles,
+from sylowtab.serialize import emit_table
+from sylowtab.perm import (DEFAULT_CAP, CapExceeded, PermGroup, index_dtype, perm_from_cycles,
                            subgroup_invariants)
 from perm_reference import (conjugates, derived_indices, element_order,
                             index_p_normal_subgroups, relabelled, sorted_key_bfs, sylow_p)
@@ -314,6 +316,52 @@ def test_representative_powers_from_one_lookup(corpus, name):
 
 def test_corpus_rows_are_uint8(corpus):
     assert {corpus.group(name).elements().dtype for name in ALL} == {np.dtype(np.uint8)}
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_index_arrays_take_the_group_index_dtype(corpus, name):
+    g = corpus.group(name)
+    cd = g.conjugacy_data()
+    want = index_dtype(g.order, max(g.degree, len(g.generators)))
+    assert want is np.int32
+    stored = [g._parent, g._gen, g._right_gens, g._conj_gens, g._inverse_idx, cd.class_of]
+    assert [a.dtype for a in stored] == [np.dtype(want)] * len(stored)
+
+
+def test_index_dtype_widens_at_two_to_the_31():
+    assert index_dtype(2**28 - 1, 8) is np.int32 and index_dtype(2**31 - 1, 1) is np.int32
+    assert index_dtype(2**28, 8) is np.int64 and index_dtype(2**31, 1) is np.int64
+    assert index_dtype(2**22, 2**9) is np.int64
+
+
+@pytest.mark.parametrize("name", ["S4", "SL(2,3)", "M11"])
+def test_int64_indices_give_the_same_oracle(corpus, name, monkeypatch):
+    monkeypatch.setattr("sylowtab.perm.index_dtype", lambda order, width: np.int64)
+    e = corpus.entry(name)
+    g = PermGroup(e.degree, e.generators, name=name)
+    cd, want = g.conjugacy_data(), corpus.group(name).conjugacy_data()
+    assert g._right_gens.dtype == g._conj_gens.dtype == cd.class_of.dtype == np.int64
+    assert cd.class_of.tolist() == want.class_of.tolist() and cd.power_maps == want.power_maps
+    assert emit_table(dixon_table(g)) == emit_table(corpus.table(name))
+    assert [g.ground_truth(p) for p in e.primes()] == [corpus.truth(name, p) for p in e.primes()]
+
+
+def test_s9_oracle_traced_peak_stays_below_36_mb():
+    """Enumeration, classes, the Dixon table and every Sylow invariant of
+    S9 (362,880 elements) at a traced peak under 36 MB; int64 index
+    arrays, each level enumerated into its own list, peaked near 51 MB."""
+    e = corpus_entry("S9")
+    tracemalloc.start()
+    try:
+        g = PermGroup(e.degree, e.generators, name="S9")
+        g.conjugacy_data()
+        dixon_table(g)
+        for p in e.primes():
+            g.ground_truth(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_300_point_cycle_enumerates_in_uint16():
