@@ -15,8 +15,8 @@ their conductor N (the lcm of the value conductors down the column); with
 D the lcm of the coefficient denominators, D * chi_i(c) is an integer
 vector in Z[x]/(x^N - 1) for its column's N.  Sums of products within a
 group are integer matrix products; one 0/+-1 matrix per N then maps them
-to the tensor basis of Q(zeta_N), whose elements are shared by all N
-(`_tensor_basis`), so the groups' parts add exactly.  Work grows with k^3
+to the tensor basis of Q(zeta_N) (`cyclo.tensor_basis`), whose elements
+are shared by all N, so the groups' parts add exactly.  Work grows with k^3
 times the square of the largest column conductor, never with the lcm of
 all of them.  The arrays are int64 when a bound computed from the table
 proves that nothing overflows, and Python ints otherwise; the code is the
@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import MAX_CONDUCTOR, Cyc, cyc_to_rat
+from .cyclo import MAX_CONDUCTOR, Cyc, cyc_to_rat, tensor_basis
 from .numutil import divisors, factorize, lcm, p_part, prime_divisors, valuation
 
 #: desk-scale guard
@@ -95,39 +94,6 @@ class CharTable:
 
 
 # -- the integer encoding ---------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _tensor_basis(n: int) -> tuple[tuple[Fraction, ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """The tensor basis of Q(zeta_n) and the coordinates of each zeta_n^a on it.
-
-    With n the product of the prime powers q, the basis is the products of
-    zeta_q^e over all q, 0 <= e < phi(q).  A basis element is named by its
-    angle, sum e/q mod 1.  As zeta_q' = zeta_q^(q/q') for q' | q, the basis
-    of Q(zeta_m) is a subset of that of Q(zeta_n) for every m | n, so the
-    coordinates of elements of different subfields add angle by angle.
-
-    Returns the angles (angle 0, the rational 1, first) and, for a = 0 ..
-    n-1, the (basis index, +-1) terms of zeta_n^a.
-    """
-    factors = []
-    for p, b in factorize(n).items():
-        q = p**b
-        step = q // p
-        # zeta_q^r for r >= phi(q): the p-th roots of unity sum to 0, so it
-        # is minus the sum of zeta_q^(r - j q/p), j = 1 .. p-1
-        rows = [((r, 1),) if r < q - step else tuple((r - j * step, -1) for j in range(1, p))
-                for r in range(q)]
-        factors.append((q, pow(n // q, -1, q), rows))
-    index = {Fraction(0): 0}
-    coords = []
-    for a in range(n):
-        terms = [(0, 1)]  # (angle * n, sign); zeta_n^a = prod zeta_q^(a (n/q)^-1 mod q)
-        for q, inv, rows in factors:
-            terms = [(x + e * (n // q), s * u) for x, s in terms for e, u in rows[a * inv % q]]
-        coords.append(tuple((index.setdefault(Fraction(x % n, n), len(index)), s)
-                            for x, s in terms))
-    return tuple(index), tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -220,14 +186,12 @@ def int_values(t: CharTable) -> IntValues:
                     entries.append(q.numerator * (den // q.denominator))
         values = np.zeros(k * len(cols) * n, dtype=dt)
         values[index] = entries
-        angles, coords = _tensor_basis(n)
-        basis = np.zeros((n, len(angles)), dtype=dt)
-        for a, terms in enumerate(coords):
-            for b, s in terms:
-                basis[a, b] = s
+        # a basis element zeta_n^b is keyed by its angle b/n at every N
+        exponents, basis = tensor_basis(n)
         groups.append(ColumnGroup(
             conductor=n, columns=np.array(cols), values=values.reshape(k, len(cols), n),
-            basis=basis, keys=np.array([keys.setdefault(x, len(keys)) for x in angles])))
+            basis=basis.astype(dt),
+            keys=np.array([keys.setdefault(Fraction(b, n), len(keys)) for b in exponents])))
     iv = IntValues(groups=tuple(groups),
                    sizes=np.array([cls.size for cls in t.classes], dtype=dt),
                    denominator=den, width=len(keys))

@@ -1,26 +1,23 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Values are stored on the power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n),
-with coefficients in Fraction, reduced modulo the n-th cyclotomic
-polynomial.  Every value is canonicalized to its minimal conductor on
-construction (in particular conductor-2-mod-4 representations are always
-rewritten), so structural equality is semantic equality and rational
-values always live at conductor 1.
+A value at conductor n is stored as sum c zeta_n^b, with Fraction
+coefficients, over the exponents b of the tensor basis of Q(zeta_n).
+With n the product of the prime powers q = p^a, that basis is the
+products of zeta_q^f over all q, 0 <= f < phi(q) (compare GAP's
+Zumbroich basis; Breuer, AAECC 8, 1997).  As zeta_q' = zeta_q^(q/q') for
+q' | q, the basis of Q(zeta_m) is part of that of Q(zeta_n) for every
+m | n, so a value lies in Q(zeta_m) exactly when its support does: its
+minimal conductor is the lcm of the orders n/gcd(b, n) over the support.
+Every value is canonicalized to that conductor on construction, so
+structural equality is semantic equality and rational values always live
+at conductor 1.  phi(2) = 1 leaves zeta_2 out of every basis, so no
+conductor 2 mod 4 appears.
 
-Reduction reads the rows x^a mod Phi_n, cached per (n, a); `power_matrix`
-stacks them for integer products.  Canonicalization descends one prime q
-of n at a time to d = n/q while the value lies in Q(zeta_d):
-
-* q^2 | n: Q(zeta_n) = Q(zeta_d)[z]/(z^q - zeta_d) and the power basis of
-  Q(zeta_n) is the product of the bases 1, .., zeta_d^(phi(d)-1) and
-  1, .., z^(q-1), so the value lies in Q(zeta_d) exactly when every
-  exponent is divisible by q, and e -> e/q rewrites it;
-* q || n: Gal(Q(zeta_n)/Q(zeta_d)) is cyclic of order q - 1, so fixedness
-  under one generator decides, and only then a projector cached per
-  (n, q) (the inverse of a square block of the embedding of Q(zeta_d))
-  rewrites it.
-  For q = 2 the group is trivial: that step is the rewrite of a conductor
-  2 mod 4, zeta_2m = -zeta_m^((m+1)/2).
+Canonicalization rewrites each zeta_n^e by its row on the tensor basis,
+cached per (n, e), and `tensor_basis` stacks the rows for integer
+products.  The Galois action multiplies exponents and canonicalizes.
+The power basis 1, z, ..., z^(phi(n)-1) is used only where values are
+written out (`power_terms`), so emitted documents keep it.
 
 Character values and central characters throughout the package are Cyc
 instances; plain rationals are Cyc with conductor 1.
@@ -34,7 +31,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .numutil import divisors, euler_phi, prime_divisors, primitive_root
+from .numutil import divisors, euler_phi, factorize, lcm, prime_divisors
 
 #: Guard against runaway conductors (desk-scale cap).
 MAX_CONDUCTOR = 1 << 20
@@ -101,29 +98,49 @@ def _power_row(n: int, a: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def power_matrix(n: int) -> np.ndarray:
-    """Read-only int64 array (n, phi(n)) whose row a holds zeta_n^a on the
-    power basis, the rows `_reduce_mod_phi` reads."""
-    out = np.zeros((n, euler_phi(n)), dtype=np.int64)
-    for a in range(n):
-        for j, c in _power_row(n, a):
-            out[a, j] = c
+def _tensor_row(n: int, e: int) -> tuple[tuple[int, int], ...]:
+    """zeta_n^e (0 <= e < n) on the tensor basis, as (exponent, +-1) pairs.
+
+    zeta_n^e is the product over the prime powers q of n of zeta_q^r,
+    r = e (n/q)^-1 mod q.  For r >= phi(q) the p-th roots of unity sum to
+    0, so zeta_q^r is minus the sum of zeta_q^(r - j q/p), j = 1 .. p-1,
+    each below phi(q).
+    """
+    terms = [(0, 1)]
+    for p, a in factorize(n).items():
+        q = p**a
+        step, m = q // p, n // q
+        r = e * pow(m, -1, q) % q
+        factor = [(r, 1)] if r < q - step else [(r - j * step, -1) for j in range(1, p)]
+        terms = [(x + f * m, s * u) for x, s in terms for f, u in factor]
+    return tuple((x % n, s) for x, s in terms)
+
+
+@lru_cache(maxsize=None)
+def tensor_basis(n: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The exponents b of the tensor basis elements zeta_n^b, ascending (so
+    0, the rational 1, first), and the read-only int64 0/+-1 array
+    (n, phi(n)) whose row a holds zeta_n^a on them."""
+    rows = [_tensor_row(n, a) for a in range(n)]
+    exponents = tuple(a for a, row in enumerate(rows) if row == ((a, 1),))
+    column = {b: j for j, b in enumerate(exponents)}
+    out = np.zeros((n, len(exponents)), dtype=np.int64)
+    for a, row in enumerate(rows):
+        for b, s in row:
+            out[a, column[b]] = s
     out.setflags(write=False)
-    return out
+    return exponents, out
 
 
-def _reduce_mod_phi(n: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
-    """sum c zeta_n^e (any integer exponents) on the power basis of Q(zeta_n)."""
-    phi = euler_phi(n)
+def power_terms(v: "Cyc") -> list[tuple[int, Fraction]]:
+    """v on the power basis 1, z, .., z^(phi(n)-1) of Q(zeta_n), n = v.n, as
+    (exponent, coefficient) pairs in exponent order: the form values are
+    written out in."""
     out: dict[int, Fraction] = {}
-    for e, c in coeffs.items():
-        e %= n
-        if e < phi:
-            out[e] = out.get(e, _ZERO) + c
-        else:
-            for j, r in _power_row(n, e):
-                out[j] = out.get(j, _ZERO) + c * r
-    return {e: c for e, c in out.items() if c}
+    for b, c in v.coeffs.items():
+        for e, r in _power_row(v.n, b):
+            out[e] = out.get(e, _ZERO) + c * r
+    return sorted((e, c) for e, c in out.items() if c)
 
 
 class Cyc:
@@ -172,7 +189,8 @@ class Cyc:
         return self.coeffs.get(0, _ZERO)
 
     def is_integral(self) -> bool:
-        """True iff all power-basis coefficients are integers."""
+        """True iff the value is in Z[zeta_n]: the tensor and power bases
+        are both Z-bases of it, so this is integral coefficients on either."""
         return all(c.denominator == 1 for c in self.coeffs.values())
 
     # -- arithmetic ---------------------------------------------------
@@ -248,22 +266,26 @@ class Cyc:
         return out
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse, by solving a linear system on the power basis."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the norm, which is a nonzero rational.
+
+        The product is taken one cyclic subgroup at a time.  x starts as
+        self, and for each unit j both x and the product are multiplied by
+        the other conjugates of x under the powers of zeta -> zeta^j.  So
+        self times the product is x throughout, x is then fixed by every j
+        so far (it lies in their fixed field, where products are cheaper),
+        and the last x is the norm.
+        """
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        if self.n == 1:
-            return Cyc.from_rational(1 / self.coeffs[0])
-        phi = euler_phi(self.n)
-        # column j: coordinates of self * z^j; the system is regular since
-        # self != 0, so reduced row i holds coordinate i of the inverse, whose
-        # minimal conductor is that of self
-        cols = [_reduce_mod_phi(self.n, {e + j: c for e, c in self.coeffs.items()})
-                for j in range(phi)]
-        aug = [[col.get(i, _ZERO) for col in cols] + [_ONE if i == 0 else _ZERO]
-               for i in range(phi)]
-        _row_reduce(aug, phi)
-        return Cyc(self.n, {i: row[-1] for i, row in enumerate(aug) if row[-1]},
-                   _canonical=True)
+        x, out = self, Cyc.one()
+        for j in range(2, self.n):
+            if gcd(j, self.n) == 1:
+                others, y = Cyc.one(), x.galois(j)
+                while y != x:
+                    others, y = others * y, y.galois(j)
+                x, out = x * others, out * others
+        return out._scale(1 / x.rational_value())
 
     # -- Galois action ------------------------------------------------
 
@@ -274,9 +296,7 @@ class Cyc:
             raise ValueError(f"{j} is not coprime to conductor {self.n}")
         if self.n == 1:
             return self
-        # a conjugate has the same minimal conductor, so it is canonical
-        # once reduced
-        return Cyc(self.n, _galois_image(self.n, self.coeffs, j), _canonical=True)
+        return Cyc(self.n, {e * j: c for e, c in self.coeffs.items()})
 
     def conjugate(self) -> "Cyc":
         return self.galois(-1)
@@ -341,91 +361,19 @@ def cyc_to_rat(a: Cyc) -> Fraction | None:
 
 
 def _canonicalize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    """The minimal conductor and power-basis coordinates of sum c zeta_n^e.
+    """The minimal conductor m and tensor-basis coefficients of sum c zeta_n^e.
 
-    After reducing mod Phi_n, each prime q of n is descended to d = n/q
-    while the value lies in Q(zeta_d).  For q^2 | n that is a support check
-    (every exponent divisible by q) and the rewrite e -> e/q; for q || n it
-    is fixedness under one generator of Gal(Q(zeta_n)/Q(zeta_d)) and, only
-    then, the projector of `_projector`.  The step at q = 2 || n has a
-    trivial Galois group and always applies, so no conductor 2 mod 4
-    survives.
+    Each zeta_n^e is rewritten by its tensor row; m is the lcm of the
+    orders n/gcd(b, n) of the basis elements zeta_n^b left in the support,
+    and b -> b m/n rewrites them at m.
     """
-    coeffs = _reduce_mod_phi(n, coeffs)
-    if not coeffs:
-        return 1, {}
-    for q in prime_divisors(n):
-        while n % q == 0:
-            d = n // q
-            if d % q == 0:
-                if any(e % q for e in coeffs):
-                    break
-                coeffs = {e // q: c for e, c in coeffs.items()}
-            else:
-                # a = 1 mod d and a primitive root mod q: zeta_n -> zeta_n^a
-                # generates Gal(Q(zeta_n)/Q(zeta_d)), cyclic of order q - 1
-                a = 1 + d * ((primitive_root(q) - 1) * pow(d, -1, q) % q)
-                if _galois_image(n, coeffs, a) != coeffs:
-                    break
-                y: dict[int, Fraction] = {}
-                for r, p in _projector(n, q):
-                    x = coeffs.get(r)
-                    if x:
-                        for i, b in p:
-                            y[i] = y.get(i, _ZERO) + x * b
-                coeffs = {i: c for i, c in y.items() if c}
-            n = d
-    return n, coeffs
-
-
-def _galois_image(n: int, coeffs: dict[int, Fraction], a: int) -> dict[int, Fraction]:
-    """zeta_n -> zeta_n^a applied to power-basis coordinates (gcd(a, n) = 1)."""
-    return _reduce_mod_phi(n, {e * a % n: c for e, c in coeffs.items()})
-
-
-@lru_cache(maxsize=None)
-def _projector(n: int, q: int):
-    """Pairs (r_j, p_j) for a prime q || n, d = n/q: an element of Q(zeta_d)
-    with coordinates x at conductor n has the coordinates sum_j x[r_j] p_j
-    at d.  Rows r_j of the embedding M (column i holds zeta_d^i =
-    zeta_n^(q i) at n) form an invertible square block B, and p_j is row j
-    of (B^-1)^T, sparse.
-    """
-    d = n // q
-    phi_n, phi_d = euler_phi(n), euler_phi(d)
-    # Gauss-Jordan on [M^T | I] picks phi(d) independent rows of M as its
-    # pivot columns and leaves (B^T)^-1 in the right-hand block
-    aug = []
-    for i in range(phi_d):
-        row = [_ZERO] * (phi_n + phi_d)
-        for e, c in _power_row(n, q * i):
-            row[e] = Fraction(c)
-        row[phi_n + i] = _ONE
-        aug.append(row)
-    rows = _row_reduce(aug, phi_n)
-    return tuple((r, tuple((i, c) for i, c in enumerate(row[phi_n:]) if c))
-                 for r, row in zip(rows, aug))
-
-
-def _row_reduce(aug: list[list[Fraction]], cols: int) -> list[int]:
-    """Gauss-Jordan elimination over Fraction on the first `cols` columns of
-    `aug`, in place; row i of the result has its pivot in column pivots[i]."""
-    rows = len(aug)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+    out: dict[int, Fraction] = {}
+    for e, c in coeffs.items():
+        for b, s in _tensor_row(n, e % n):
+            out[b] = out.get(b, _ZERO) + (c if s > 0 else -c)
+    out = {b: c for b, c in out.items() if c}
+    m = 1
+    for b in out:
+        m = lcm(m, n // gcd(b, n))
+    k = n // m
+    return m, {b // k: c for b, c in out.items()}

@@ -21,7 +21,7 @@ characters as eigenvectors, and a random vector is split into its
 eigen-components by power-character projectors built from
 (M + aI)^((l-1)/r), r | l - 1.  The lift makes per element order one
 product with the DFT matrix and one with the matrix of the powers of
-zeta_o on the power basis.  Arrays are int64 when
+zeta_o on the tensor basis of `cyclo`.  Arrays are int64 when
 k * (l-1)^2 (o * (l-1)^2 for a DFT of size o) is below 2^63, and Python
 ints otherwise, with the same code.  Each distinct lifted value is built
 as one Cyc, so it is canonicalized once.
@@ -36,7 +36,7 @@ from math import isqrt
 import numpy as np
 
 from .chartab import CharTable, ClassData, int_dtype, validate
-from .cyclo import Cyc, power_matrix
+from .cyclo import Cyc, power_terms, tensor_basis
 from .numutil import is_prime, primitive_root
 from .perm import PermGroup
 
@@ -271,24 +271,26 @@ def _lift_characters(g, cd, V, inv_class, l):
             raise DixonFailure(f"a coefficient at order {o} exceeds its degree")
         if (C.sum(axis=2) != D).any():
             raise DixonFailure(f"coefficients at order {o} do not sum to the degree")
-        # rows of sum_j C[i, j] zeta_o^j on the power basis; each row of C
-        # sums to a degree, so entries stay below max(D) * max|R|
-        R = power_matrix(o)
-        rt = int_dtype(max(degrees) * int(np.abs(R).max()))
+        # rows of sum_j C[i, j] zeta_o^j on the tensor basis; each row of C
+        # is nonnegative and sums to a degree, and T is 0/+-1, so entries
+        # stay within max(D)
+        exponents, T = tensor_basis(o)
+        rt = int_dtype(max(degrees))
         values = []
-        for row in (C.reshape(-1, o).astype(rt) @ R.astype(rt)).tolist():
+        for row in (C.reshape(-1, o).astype(rt) @ T.astype(rt)).tolist():
             key = (o, tuple(row))
             if key not in memo:
-                memo[key] = Cyc(o, {j: Fraction(x) for j, x in enumerate(row) if x})
+                memo[key] = Cyc(o, {b: Fraction(x) for b, x in zip(exponents, row) if x})
             values.append(memo[key])
         for c, m in enumerate(ms):
             cols[m] = values[c * k:(c + 1) * k]
-    return tuple(sorted(zip(*cols), key=_char_sort_key))
+    terms = {v: (v.n, [(e, c.numerator, c.denominator) for e, c in power_terms(v)])
+             for v in memo.values()}
+    return tuple(sorted(zip(*cols), key=lambda row: _char_sort_key(row, terms)))
 
 
-def _char_sort_key(row):
+def _char_sort_key(row, terms):
     """The trivial character first (degree 1, all values 1), then by the
-    conductor and coefficients of each value in turn."""
-    return (any(v != Cyc.one() for v in row),
-            tuple((v.n, sorted((e, c.numerator, c.denominator) for e, c in v.coeffs.items()))
-                  for v in row))
+    conductor and power-basis coefficients of each value in turn, read
+    from terms."""
+    return (any(v != Cyc.one() for v in row), tuple(terms[v] for v in row))

@@ -3,11 +3,12 @@ and the deterministic corpus report.
 
 Table documents are JSON.  Every character value is a list of cyclotomic
 terms {conductor, exponent, numerator, denominator}; no floats anywhere.
-Emission is canonical (minimal conductors, terms sorted by exponent), so
-parse/emit round-trips are byte-identical.  Parsing accepts any terms
-(conductors need not be minimal nor exponents reduced, terms may repeat):
-a value's terms are summed at the lcm of their conductors and the sum is
-canonicalized once.  Within one document, equal lists of parsed terms
+Emission is canonical (minimal conductors, power-basis terms sorted by
+exponent, as `cyclo.power_terms` gives them), so parse/emit round-trips
+are byte-identical.  Parsing accepts any terms (conductors need not be
+minimal nor exponents reduced, terms may repeat): a value's terms are
+summed at the lcm of their conductors and the sum is canonicalized
+once.  Within one document, equal lists of parsed terms
 share one value, so each distinct value is built once per parse.
 
 The text importer accepts a small, documented line-based layout for
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import CharTable, ClassData, validate
-from .cyclo import MAX_CONDUCTOR, Cyc, cyc_root
+from .cyclo import MAX_CONDUCTOR, Cyc, cyc_root, power_terms
 from .numutil import lcm
 
 SCHEMA_VERSION = 1
@@ -43,7 +44,7 @@ class ParseError(Exception):
 def cyc_to_terms(v: Cyc) -> list[dict]:
     return [{"conductor": v.n, "exponent": e,
              "numerator": c.numerator, "denominator": c.denominator}
-            for e, c in sorted(v.coeffs.items())]
+            for e, c in power_terms(v)]
 
 
 def terms_to_cyc(terms, where: str, memo: dict) -> Cyc:

@@ -6,8 +6,10 @@ table's integer encoding (`chartab.int_values`); the tests compare the two,
 on fresh copies of the tables so that no memo from another test is read.
 
 `reference_canonicalize` is the cyclotomic canonicalization by full Galois
-orbits and a Fraction solve per descent, which `cyclo._canonicalize`
-replaces with a support check or one Galois generator per prime.
+orbits and a Fraction solve per descent, on the power basis.
+`cyclo._canonicalize` replaces it with a row per root of unity on the
+tensor basis and the orders of the support; the tests compare the two
+through `cyclo.power_terms`.
 `reference_cyclotomic_poly` divides x^n - 1 by every Phi_d, d | n, d < n,
 which `cyclo.cyclotomic_poly` replaces with Phi_n(x) = Phi_rad(n)(x^(n/rad n))
 and Phi_mp(x) = Phi_m(x^p) / Phi_m(x).
@@ -154,17 +156,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def reference_value(terms) -> Cyc:
-    """sum num/den * zeta_n^e over (n, e, num, den) terms, canonicalized
-    by `reference_canonicalize` at the lcm of the conductors."""
+def reference_value(terms) -> tuple[int, dict[int, Fraction]]:
+    """sum num/den * zeta_n^e over (n, e, num, den) terms as its minimal
+    conductor and power-basis coordinates, by `reference_canonicalize` at
+    the lcm of the conductors."""
     m = 1
     for n, *_ in terms:
         m = lcm(m, n)
     dense = [_ZERO] * m
     for n, e, num, den in terms:
         dense[e % n * (m // n)] += Fraction(num, den)
-    n, coeffs = reference_canonicalize(m, reference_reduce_mod_phi(m, dense))
-    return Cyc(n, coeffs, _canonical=True)
+    return reference_canonicalize(m, reference_reduce_mod_phi(m, dense))
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,15 @@
+import cmath
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sylowtab.chartab import (CharTable, ClassData, NormalSet, _tensor_basis,
+from sylowtab.chartab import (CharTable, ClassData, NormalSet,
                               centralizer_order, core_subgroups,
                               has_cyclic_sylow, int_values, is_p_element,
                               kernel_of, minimal_normals, normal_lattice,
                               power_class, quotient_table, validate)
-from sylowtab.cyclo import Cyc, cyc_root
+from sylowtab.cyclo import Cyc, cyc_root, tensor_basis
 from sylowtab.blocks import block_partition
 from sylowtab.corpus import _direct_product, _psl2_perms, corpus_entry
 from sylowtab.detectors import detect_center_index_p2, detect_commutator_index_p2
@@ -229,18 +230,21 @@ def test_overflow_rule_picks_dtype(e, dtype, bump):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 12, 15, 20, 88, 105])
 def test_tensor_basis(n):
-    """Each zeta_n^a equals the sum of its terms, there are phi(n) basis
-    elements (so they are a basis), and the basis of Q(zeta_m) is part of
-    that of Q(zeta_n) for every m | n."""
-    angles, coords = _tensor_basis(n)
-    assert len(angles) == euler_phi(n) and angles[0] == 0
-    assert len(coords) == n
-    for a, terms in enumerate(coords):
-        total = sum((s * cyc_root(angles[b].denominator, angles[b].numerator)
-                     for b, s in terms), Cyc.zero())
-        assert total == cyc_root(n, a), (n, a)
+    """Row a of the read-only matrix sums to zeta_n^a over the basis
+    exponents (checked in complex floating point, apart from the exact
+    arithmetic built on the rows), there are phi(n) basis elements (so
+    they are a basis), and the basis of Q(zeta_m) is part of that of
+    Q(zeta_n) for every m | n, compared as angles b/m."""
+    exponents, T = tensor_basis(n)
+    assert len(exponents) == euler_phi(n) and exponents[0] == 0
+    assert T.shape == (n, euler_phi(n)) and not T.flags.writeable
+    assert set(T.flatten().tolist()) <= {-1, 0, 1}
+    for a, row in enumerate(T.tolist()):
+        total = sum(s * cmath.exp(2j * cmath.pi * b / n) for b, s in zip(exponents, row))
+        assert abs(total - cmath.exp(2j * cmath.pi * a / n)) < 1e-9, (n, a)
     for m in divisors(n):
-        assert set(_tensor_basis(m)[0]) <= set(angles)
+        assert ({Fraction(b, m) for b in tensor_basis(m)[0]}
+                <= {Fraction(b, n) for b in exponents})
 
 
 def test_validate_makes_no_cyc_products(corpus, monkeypatch):

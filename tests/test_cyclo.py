@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sylowtab import cyclo
 from sylowtab.cyclo import (_canonicalize, Cyc, cyc_root, cyc_to_rat,
-                            cyclotomic_poly, power_matrix)
+                            cyclotomic_poly, power_terms, tensor_basis)
 from sylowtab.numutil import divisors, euler_phi
 from table_reference import (reference_canonicalize, reference_cyclotomic_poly,
                              reference_reduce_mod_phi)
@@ -98,6 +98,10 @@ def test_abs2():
 def test_inverse():
     a = 1 + cyc_root(5) + 2 * cyc_root(5, 3)
     assert a * a.inverse() == Cyc.one()
+    for n in (15, 21):  # unit groups C2 x C4 and C2 x C6, not cyclic
+        a = 2 + cyc_root(n) - 3 * cyc_root(n, 4)
+        assert a.n == n
+        assert a * a.inverse() == 1
     with pytest.raises(ZeroDivisionError):
         Cyc.zero().inverse()
 
@@ -211,26 +215,31 @@ def canonicalize_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(canonicalize_inputs())
 def test_canonicalize_matches_reference(case):
+    """The same conductor and, on the power basis, the same coordinates as
+    the reference; the support is on the tensor basis."""
     n, coeffs = case
-    assert _canonicalize(n, dict(coeffs)) == reference_canonicalize(n, dict(coeffs))
+    m, canonical = _canonicalize(n, dict(coeffs))
+    assert set(canonical) <= set(tensor_basis(m)[0])
+    terms = dict(power_terms(Cyc(m, canonical, _canonical=True)))
+    assert (m, terms) == reference_canonicalize(n, dict(coeffs))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 9, 12, 15, 16, 21, 30, 45, 60, 105])
 def test_power_matrix_rows_reduce_powers(n):
-    R = power_matrix(n)
-    assert R.shape == (n, euler_phi(n)) and not R.flags.writeable
+    """The rows of the power matrix that emission reads: zeta_n^a on the
+    power basis is x^a mod Phi_n."""
     for a in range(n):
         dense = [Fraction(0)] * a + [Fraction(1)]
-        row = {j: c for j, c in enumerate(R[a].tolist()) if c}
-        assert row == reference_reduce_mod_phi(n, dense)
+        assert dict(cyclo._power_row(n, a)) == reference_reduce_mod_phi(n, dense)
 
 
-def test_projector_is_built_only_for_a_descent():
-    """A value at its minimal conductor fails every generator test, so no
-    projector is built (at conductor 1155 one costs a 240 x 720 Fraction
-    elimination)."""
-    cyclo._projector.cache_clear()
-    assert (cyc_root(1155, 1) + cyc_root(1155, 2)).n == 1155
-    assert cyclo._projector.cache_info().currsize == 0
-    assert cyc_root(1155, 77) == cyc_root(15, 1)
-    assert cyclo._projector.cache_info().currsize == 2  # at q = 7, then q = 11
+def test_values_at_a_conductor_of_five_primes_are_fast():
+    """At 15015 = 3 * 5 * 7 * 11 * 13 (phi = 5760) a sum of two roots keeps
+    its conductor and conjugates back, and a root of order 195 descends,
+    all within 1 s: the support alone gives the conductor."""
+    start = time.perf_counter()
+    a = cyc_root(15015, 1) + cyc_root(15015, 2)
+    assert a.n == 15015
+    assert a.conjugate() != a and a.conjugate().conjugate() == a
+    assert cyc_root(15015, 77) == cyc_root(195, 1)
+    assert time.perf_counter() - start < 1.0

@@ -202,7 +202,8 @@ def test_split_of_a_jordan_block_gives_up_within_the_round_bound(monkeypatch):
 
 def test_dixon_makes_no_cyc_arithmetic(corpus, monkeypatch):
     """No Cyc sums or products, and one canonicalization per distinct value
-    at each class order: the lift reduces its rows mod Phi_o first."""
+    at each class order: the lift rewrites its rows on the tensor basis
+    first."""
     calls = []
     for op in ("__add__", "__mul__"):
         f = getattr(Cyc, op)

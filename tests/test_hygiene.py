@@ -107,8 +107,8 @@ def unset_defaults(modules: dict[str, ast.Module]) -> list[str]:
 
 #: methods kept although nothing in src/ calls them: the benchmark tracer
 #: (perfbench/tracing.py) patches them by name, to count reductions and
-#: cyclotomic operations, until it reads an in-src stats collector instead
-#: (ROADMAP.md, item 2)
+#: cyclotomic operations, until it looks each name up (ROADMAP.md, item 1,
+#: "No private names") or reads an in-src stats collector (item 9)
 KEPT_METHODS = {"gfpm.CycReducer.reduce", "cyclo.Cyc.conjugate"}
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sylowtab import cyclo
-from sylowtab.cyclo import MAX_CONDUCTOR, Cyc, cyc_root
+from sylowtab.cyclo import MAX_CONDUCTOR, Cyc, cyc_root, power_terms
 from sylowtab.serialize import (GroupDocument, ParseError, ReportRow,
                                 emit_group, emit_report, emit_table,
                                 parse_cyc_expr, parse_group, parse_table,
@@ -110,7 +110,7 @@ def test_noncanonical_terms_parse_to_the_same_values(name, rewrite):
     assert t.chars == parse_table(text).chars
     for row, terms_row in zip(t.chars, doc["characters"]):
         for v, terms in zip(row, terms_row):
-            assert v == reference_value(_term_tuples(terms))
+            assert (v.n, dict(power_terms(v))) == reference_value(_term_tuples(terms))
     assert emit_table(t) == text
 
 
@@ -170,6 +170,9 @@ def test_cyc_expr_parser():
     assert parse_cyc_expr("E(5)^2+E(5)^3") == cyc_root(5, 2) + cyc_root(5, 3)
     assert parse_cyc_expr("2*E(3)+1") == 2 * cyc_root(3, 1) + Cyc.one()
     assert parse_cyc_expr("E(8)-E(8)^3") == cyc_root(8, 1) - cyc_root(8, 3)
+    # the units mod 12 are C2 x C2, not cyclic
+    assert parse_cyc_expr("3/E(12)^5") * cyc_root(12, 5) == 3
+    assert parse_cyc_expr("1/E(12)") == cyc_root(12, 11)
     with pytest.raises(ParseError):
         parse_cyc_expr("E(8)^")
     with pytest.raises(ParseError):
